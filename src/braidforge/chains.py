@@ -35,6 +35,7 @@ __all__ = [
     "chain_concat",
     "chain_invert",
     "chain_mirror",
+    "erase_loops",
     "reduction_steps",
     "open_chain",
 ]
@@ -131,6 +132,34 @@ def chain_mirror(chain: Chain, inv: bytes) -> Chain:
                           _rev_inv(s.lhs, inv), _rev_inv(s.rhs, inv)))
         word = apply_step(word, s)
     return Chain(_rev_inv(chain.start, inv), tuple(steps))
+
+
+def erase_loops(chain: Chain) -> Chain:
+    """The chain with every detour cut out.
+
+    Replays the chain; whenever a step returns to a word visited
+    earlier, the steps since that visit are dropped.  Start and end
+    are unchanged, every kept step meets the same word it met before,
+    and the result visits each word at most once, so erasing again
+    changes nothing.
+    """
+    seen = {chain.start: 0}
+    words = [chain.start]
+    steps: list[Step] = []
+    word = chain.start
+    for step in chain.steps:
+        word = apply_step(word, step)
+        k = seen.get(word)
+        if k is None:
+            steps.append(step)
+            words.append(word)
+            seen[word] = len(steps)
+        else:
+            for dropped in words[k + 1:]:
+                del seen[dropped]
+            del words[k + 1:]
+            del steps[k:]
+    return Chain(chain.start, tuple(steps))
 
 
 def reduction_steps(word: bytes, inv: bytes) -> tuple[Step, ...]:

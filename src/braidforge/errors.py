@@ -52,7 +52,8 @@ class ResourceBoundError(BraidforgeError):
 class CertificateError(BraidforgeError):
     """An internally produced rewrite chain failed validation.
 
-    This always indicates a bug in a prover, never bad user input: the
-    equivalence oracle reports Unknown instead of letting one escape, but
-    certificate construction raises it eagerly so tests catch the prover.
+    This always indicates a bug in a prover, never bad user input.  It
+    is raised eagerly, by certificate construction and by the equivalence
+    oracle alike, rather than hidden behind an Unknown verdict, so tests
+    catch the prover.
     """

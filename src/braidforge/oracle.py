@@ -13,6 +13,15 @@ pure-times-coset form, the pure parts are compared freely, then through
 their layered normal-form traces, then by bounded search over the pure
 presentation's moves; every fusing-level success is lifted back to a
 crossing-level chain through the certificate store.
+
+The crossing-level search that runs before the normal-form rungs is a
+small probe (SMALL_SEARCH_NODES stored states): it catches short
+derivations such as a single defining relation, and a pair it misses
+goes on to the certified normal-form rungs instead of exhausting a
+large search first.  The full crossing-level search comes last.
+Every searched or assembled witness is loop-erased (chains.erase_loops
+drops each detour that returns to a word already visited) before
+validate_chain replays it.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ import enum
 from dataclasses import dataclass, field
 
 from .certs import CertStore, _Builder, get_store
-from .chains import (Chain, chain_invert, chain_mirror, reduction_steps,
-                     validate_chain)
+from .chains import (Chain, _rev_inv, chain_end, chain_invert, chain_mirror,
+                     erase_loops, reduction_steps, validate_chain)
 from .decomposition import _traced_normal_form, pair_counts
-from .errors import DomainError, ResourceBoundError
+from .errors import CertificateError, DomainError, ResourceBoundError
 from .fusing import FusingWord, expand_fusing, fusing_free_reduce
 from .kernel import free_reduce_bytes, neighbors
 from .perms import permutation_of
@@ -41,7 +50,7 @@ __all__ = [
     "relation_neighbors",
 ]
 
-SMALL_SEARCH_NODES = 20_000
+SMALL_SEARCH_NODES = 1_000
 FUSING_SEARCH_NODES = 200_000
 DEFAULT_MAX_NODES = 2_000_000
 
@@ -111,10 +120,6 @@ def _coerce_braid(word) -> BraidWord:
     raise DomainError(f"cannot decide equality of {type(word).__name__}")
 
 
-def _rev_inv(codes: bytes, inv: bytes) -> bytes:
-    return bytes(inv[c] for c in reversed(codes))
-
-
 def _closed_from_open(u: bytes, v: bytes, open_chain: Chain,
                       inv: bytes) -> Chain:
     """Closed chain u * inv(v) => empty from an open chain u => v."""
@@ -136,7 +141,7 @@ def _searched_witness(u: BraidWord, v: BraidWord, open_chain: Chain,
     steps.extend(chain_invert(
         Chain(v.codes, reduction_steps(v.codes, inv))).steps)
     full_open = Chain(u.codes, tuple(steps))
-    return _closed_from_open(u.codes, v.codes, full_open, inv)
+    return erase_loops(_closed_from_open(u.codes, v.codes, full_open, inv))
 
 
 class _Decider:
@@ -194,11 +199,11 @@ class _Decider:
         prefix = len(st.rho_word(pure_u.letters))
         bld.reduce_span(prefix, 2 * len(rep), inv)
         bld.embed(st.lift_fusing_chain(fusing_closed), 0)
-        witness = Chain(self.u.codes + _rev_inv(self.v.codes, inv),
-                        tuple(bld.steps))
+        witness = erase_loops(Chain(
+            self.u.codes + _rev_inv(self.v.codes, inv), tuple(bld.steps)))
         end = validate_chain(witness, st.std)
         if end != b"":
-            raise DomainError("assembled witness does not close")
+            raise CertificateError("assembled witness does not close")
         return OracleVerdict(Verdict.EQUAL, reason, self.u.strands,
                              witness, detail)
 
@@ -216,7 +221,7 @@ class _Decider:
                           detail: dict) -> OracleVerdict:
         fb.reduce_span(0, len(fb.word), self.st.fus.inverse_table)
         if fb.word != b"":
-            raise DomainError("fusing bridge does not close")
+            raise CertificateError("fusing bridge does not close")
         closed = Chain(self._fusing_closed_word(), tuple(fb.steps))
         return self._finish(closed, reason, detail)
 
@@ -296,9 +301,9 @@ def decide(u, v, *, max_len: int | None = None,
         (nf_u, chain_fu) = trace_u
         (nf_v, chain_fv) = trace_v
         flat_u = st.alph.decode(
-            free_reduce_bytes(_end_of(chain_fu), st.fus.inverse_table))
+            free_reduce_bytes(chain_end(chain_fu), st.fus.inverse_table))
         flat_v = st.alph.decode(
-            free_reduce_bytes(_end_of(chain_fv), st.fus.inverse_table))
+            free_reduce_bytes(chain_end(chain_fv), st.fus.inverse_table))
         finv = st.fus.inverse_table
         if red_u.letters == flat_v.letters:
             fb = dec._fusing_builder()
@@ -346,13 +351,6 @@ def decide(u, v, *, max_len: int | None = None,
         Verdict.UNKNOWN,
         "all invariants agree but no chain found within bounds", n,
         None, {"max_len": max_len, "max_nodes": max_nodes})
-
-
-def _end_of(chain: Chain) -> bytes:
-    word = chain.start
-    for step in chain.steps:
-        word = word[:step.pos] + step.rhs + word[step.pos + len(step.lhs):]
-    return word
 
 
 @dataclass(frozen=True)

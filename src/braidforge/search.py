@@ -18,16 +18,13 @@ order of the extended pattern list and frontiers are expanded FIFO.
 
 from __future__ import annotations
 
-from .chains import Chain, Step, chain_concat, chain_invert, reduction_steps
+from .chains import (Chain, Step, _rev_inv, chain_concat, chain_invert,
+                     reduction_steps)
 from .errors import CertificateError
 from .kernel import free_reduce_bytes, neighbors
 from .relations import MoveTable
 
 __all__ = ["bfs_chain", "tiered_chain"]
-
-
-def _rev_inv(codes: bytes, inv: bytes) -> bytes:
-    return bytes(inv[c] for c in reversed(codes))
 
 
 class _EdgeSet:

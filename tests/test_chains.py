@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidforge import CertificateError, Chain, Step, validate_chain
 from braidforge.chains import (apply_step, chain_concat, chain_end,
-                               chain_invert, chain_mirror, open_chain,
-                               reduction_steps, replay, shift_steps)
+                               chain_invert, chain_mirror, erase_loops,
+                               open_chain, reduction_steps, replay,
+                               shift_steps)
 from braidforge.kernel import free_reduce_bytes
 from braidforge.relations import standard_moves
 from braidforge.words import parse_braid_word
@@ -124,3 +126,86 @@ def test_open_chain_rejects_wrong_endpoints():
     lhs, rhs = braid_move()
     with pytest.raises(CertificateError):
         open_chain(lhs, rhs, Chain(lhs, ()), INV)
+
+
+def test_erase_loops_cuts_a_substitution_round_trip():
+    lhs, rhs = braid_move()
+    word = codes("t1") + lhs
+    chain = Chain(word, (Step(1, lhs, rhs), Step(1, rhs, lhs),
+                         Step(1, lhs, rhs)))
+    assert erase_loops(chain) == Chain(word, (Step(1, lhs, rhs),))
+
+
+def test_erase_loops_cuts_a_detour_back_to_the_start():
+    word = codes("s1 t2")
+    chain = Chain(word, (Step(1, b"", codes("v1 v1")),
+                         Step(1, codes("v1 v1"), b"")))
+    assert erase_loops(chain) == Chain(word, ())
+
+
+def test_erase_loops_rejects_a_broken_chain():
+    with pytest.raises(CertificateError):
+        erase_loops(Chain(codes("s1"), (Step(0, codes("s2"), b""),)))
+
+
+LETTERS = [f"{k}{i}" for k in "sStTv" for i in (1, 2)]
+
+
+@st.composite
+def chains_with_detours(draw):
+    """A valid chain of table moves, insertions and cancellations on 3
+    strands, with detours injected: an insertion followed by its
+    cancellation, and a substitution followed by its reverse."""
+    start = codes(" ".join(draw(st.lists(st.sampled_from(LETTERS),
+                                         max_size=8))))
+    word = start
+    steps: list[Step] = []
+
+    def push(step):
+        nonlocal word
+        steps.append(step)
+        word = apply_step(word, step)
+
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["move", "pair", "cancel"]))
+        detour = draw(st.booleans())
+        if kind == "move":
+            matches = [(pos, a, b)
+                       for a, b in zip(TABLE.patterns, TABLE.replacements)
+                       for pos in range(len(word) - len(a) + 1)
+                       if word[pos:pos + len(a)] == a]
+            if not matches:
+                continue
+            pos, a, b = draw(st.sampled_from(matches))
+            push(Step(pos, a, b))
+            if detour:
+                push(Step(pos, b, a))
+        elif kind == "pair":
+            pos = draw(st.integers(0, len(word)))
+            c = codes(draw(st.sampled_from(LETTERS)))[0]
+            pair = bytes((c, INV[c]))
+            push(Step(pos, b"", pair))
+            if detour:
+                push(Step(pos, pair, b""))
+        else:
+            spots = [pos for pos in range(len(word) - 1)
+                     if word[pos + 1] == INV[word[pos]]]
+            if spots:
+                pos = draw(st.sampled_from(spots))
+                push(Step(pos, word[pos:pos + 2], b""))
+    return Chain(start, tuple(steps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains_with_detours())
+def test_erase_loops_keeps_the_ends_and_only_shortens(chain):
+    end = validate_chain(chain, TABLE)
+    erased = erase_loops(chain)
+    assert erased.start == chain.start
+    assert validate_chain(erased, TABLE) == end
+    assert len(erased.steps) <= len(chain.steps)
+    assert erase_loops(erased) == erased
+    visited = [erased.start]
+    for step in erased.steps:
+        visited.append(apply_step(visited[-1], step))
+    assert len(set(visited)) == len(visited)

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from braidforge import (DomainError, Verdict, decide, format_braid_word,
-                        normal_form, parse_braid_word, parse_fusing_word,
-                        recompose, relation_neighbors, validate_chain,
-                        verify_relation)
-from braidforge.oracle import _rev_inv
+from braidforge import (CertificateError, DomainError, Verdict, decide,
+                        format_braid_word, free_reduce, normal_form,
+                        parse_braid_word, parse_fusing_word, recompose,
+                        relation_neighbors, validate_chain, verify_relation)
+from braidforge.certs import CertStore
+from braidforge.chains import Chain, _rev_inv
+from braidforge.oracle import SMALL_SEARCH_NODES
 from braidforge.relations import standard_moves, standard_relation_instances
+from braidforge.search import tiered_chain
 
 
 def w(text, n=3):
@@ -105,6 +108,44 @@ def test_normal_form_round_trip_decides_equal():
         res = decide(back, word)
         assert res.verdict is Verdict.EQUAL, text
         check_witness(res, back, word)
+
+
+def test_round_trip_missed_by_the_probe_answers_on_a_normal_form_rung():
+    # From the round-trip acceptance corpus (seed 20240822): the rebuilt
+    # word is not within a small crossing-level search of the original.
+    word = w("s1 s2")
+    back = recompose(normal_form(word))
+    ru, rv = free_reduce(back).codes, free_reduce(word).codes
+    assert tiered_chain(ru, rv, standard_moves(3),
+                        max_len=len(ru) + len(rv) + 4,
+                        max_nodes=SMALL_SEARCH_NODES) is None
+    res = decide(back, word)
+    assert res.verdict is Verdict.EQUAL
+    assert res.reason == "sweep meets the other side's normal form"
+    check_witness(res, back, word)
+
+
+def test_direct_search_reports_the_probe_bound():
+    assert SMALL_SEARCH_NODES == 1_000
+    res = decide(w("s1 s2 s1"), w("s2 s1 s2"))
+    assert res.reason == "found by direct search"
+    assert res.bounds["max_nodes"] == SMALL_SEARCH_NODES
+    capped = decide(w("s1 s2 s1"), w("s2 s1 s2"), max_nodes=500)
+    assert capped.bounds["max_nodes"] == 500
+
+
+def test_a_lift_that_does_not_close_is_a_certificate_error(monkeypatch):
+    lift = CertStore.lift_fusing_chain
+
+    def broken(self, chain):
+        lifted = lift(self, chain)
+        return Chain(lifted.start, lifted.steps[:-1])
+
+    u, v = w("v1 s2 v1"), w("v2 s1 v2")
+    assert decide(u, v).reason == "pure parts freely equal"
+    monkeypatch.setattr(CertStore, "lift_fusing_chain", broken)
+    with pytest.raises(CertificateError, match="does not close"):
+        decide(u, v)
 
 
 def test_to_json_shape():
