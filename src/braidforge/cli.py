@@ -3,20 +3,20 @@
 Commands read braid words from their arguments (pass "-" to read from
 stdin, which makes the stages pipeable) and print plain text by default
 or versioned JSON with --json.  Exit codes: 0 success, 1 domain error or
-failed verification, 2 resource bound exceeded, 3 usage error.
+failed verification, 2 resource bound exceeded, 3 usage error, 4 internal
+error (a prover produced a certificate that does not check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .acceptance import DEFAULT_SEED, run_all
-from .decomposition import (format_normal_form, normal_form,
-                            parse_normal_form, recompose)
-from .errors import DomainError, ResourceBoundError
+from .decomposition import (_default_budget, format_normal_form,
+                            normal_form, parse_normal_form, recompose)
+from .errors import CertificateError, DomainError, ResourceBoundError
 from .fusing import format_fusing_word, to_pure_times_coset
 from .oracle import decide
 from .perms import coset_map, format_permutation, permutation_of
@@ -24,6 +24,7 @@ from .schreier import nontrivial_canonical_pairs, rewrite_R
 from .words import format_braid_word, parse_braid_word
 
 USAGE_EXIT = 3
+INTERNAL_EXIT = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +109,7 @@ def _cmd_derive_relations(args) -> int:
 
 def _cmd_normal_form(args) -> int:
     nf = normal_form(_word_arg(args.word, args.strands),
-                     budget=args.budget)
+                     budget=_budget(args))
     if args.json:
         layers = [{"level": layer.level,
                    "letters": [str(cl) for cl in layer.letters]}
@@ -134,7 +135,7 @@ def _cmd_decide(args) -> int:
     u = _word_arg(args.left, args.strands)
     v = _word_arg(args.right, args.strands)
     verdict = decide(u, v, max_len=args.max_len, max_nodes=args.max_nodes,
-                     budget=args.budget)
+                     budget=_budget(args))
     print(json.dumps(verdict.to_json(include_witness=not args.no_witness),
                      indent=2))
     return 0
@@ -167,15 +168,9 @@ def _add_strands(parser: argparse.ArgumentParser) -> None:
                         help="number of strands (required)")
 
 
-def _budget_default() -> int | None:
-    raw = os.environ.get("BRAIDFORGE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(
-            f"BRAIDFORGE_BUDGET must be an integer, got {raw!r}")
+def _budget(args) -> int:
+    """--budget, else BRAIDFORGE_BUDGET read by the library's rules."""
+    return _default_budget() if args.budget is None else args.budget
 
 
 def build_parser() -> _Parser:
@@ -220,7 +215,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normal-form", help="layered normal form of a word")
     _add_strands(p)
     p.add_argument("word", help='braid word ("-" = stdin)')
-    p.add_argument("--budget", type=int, default=_budget_default(),
+    p.add_argument("--budget", type=int,
                    help="cap on rewriting work (env BRAIDFORGE_BUDGET)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_normal_form)
@@ -242,7 +237,7 @@ def build_parser() -> _Parser:
                    help="cap on intermediate word length in searches")
     p.add_argument("--max-nodes", type=int, default=None,
                    help="cap on stored search states")
-    p.add_argument("--budget", type=int, default=_budget_default(),
+    p.add_argument("--budget", type=int,
                    help="cap on rewriting work (env BRAIDFORGE_BUDGET)")
     p.add_argument("--no-witness", action="store_true",
                    help="omit the step list from the JSON record")
@@ -268,10 +263,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except DomainError as exc:
-        # a bad BRAIDFORGE_BUDGET surfaces while the parser is built
-        print(f"braidforge: {exc}", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except ResourceBoundError as exc:
@@ -280,6 +271,9 @@ def run(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"braidforge: {exc}", file=sys.stderr)
         return 1
+    except CertificateError as exc:
+        print(f"braidforge: internal error: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 def main() -> None:

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Everything user-facing derives from DomainError so the CLI can map the
-whole family to one exit code; ResourceBoundError is separate because it
-signals "gave up within budget", not "the input was wrong".
+whole family to one exit code (1); ResourceBoundError is separate because
+it signals "gave up within budget", not "the input was wrong" (exit 2);
+CertificateError is a prover bug, which the CLI reports as an internal
+error (exit 4).
 """
 
 __all__ = [

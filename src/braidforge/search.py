@@ -12,11 +12,17 @@ such edge unpacks into primitive chain steps - pair insertions, one
 table substitution, free-reduction cancellations - so the chains replay
 exactly.
 
+States are reduced and so is every edge's replacement, which is the
+contract kernel.neighbors relies on: _EdgeSet checks its replacements
+once when it is built.
+
 Everything here is deterministic: neighbor order comes from the scan
 order of the extended pattern list and frontiers are expanded FIFO.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .chains import (Chain, Step, _rev_inv, chain_concat, chain_invert,
                      reduction_steps)
@@ -33,7 +39,8 @@ class _EdgeSet:
     meta[mi] describes how virtual pattern mi unpacks into primitive
     steps: ("subst", A, B) is a plain table move; ("prefix", A, B, cut)
     matched A[:cut] and owes the tail; ("suffix", A, B, cut) matched
-    A[-cut:] and owes the head.
+    A[-cut:] and owes the head.  patterns and replacements are tuples,
+    and every replacement is freely reduced.
     """
 
     def __init__(self, table: MoveTable, split: bool):
@@ -61,21 +68,20 @@ class _EdgeSet:
                         ("prefix", a, b, cut))
                     add(a[-cut:], _rev_inv(a[:-cut], inv) + b,
                         ("suffix", a, b, cut))
-        self.patterns = patterns
-        self.replacements = replacements
-        self.meta = meta
+        for repl in replacements:
+            if free_reduce_bytes(repl, inv) != repl:
+                raise CertificateError(
+                    f"edge replacement {repl!r} is not freely reduced")
+        self.patterns = tuple(patterns)
+        self.replacements = tuple(replacements)
+        self.meta = tuple(meta)
 
 
-_EDGE_CACHE: dict[tuple[int, bool], _EdgeSet] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _edges(table: MoveTable, split: bool) -> _EdgeSet:
-    key = (id(table), split)
-    cached = _EDGE_CACHE.get(key)
-    if cached is None:
-        cached = _EdgeSet(table, split)
-        _EDGE_CACHE[key] = cached
-    return cached
+    """The edge set of a table; MoveTable hashes by value, so an equal
+    table built again shares it."""
+    return _EdgeSet(table, split)
 
 
 def _edge_steps(parent: bytes, pos: int, mi: int, edges: _EdgeSet,

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from braidforge.certs import CertStore
+from braidforge.chains import Chain
 from braidforge.cli import run
 
 
@@ -142,9 +144,58 @@ def test_budget_env_var(capsys, monkeypatch):
 
 def test_garbage_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDFORGE_BUDGET", "lots")
-    assert run(["pi", "-n", "3", "s1"]) == 1
+    assert run(["normal-form", "-n", "3", "s1"]) == 1
     _, err = out_of(capsys)
     assert "BRAIDFORGE_BUDGET" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "abc"])
+@pytest.mark.parametrize("command", [
+    ["normal-form", "-n", "3", "s1 s1"],
+    ["decide", "-n", "3", "s1 s2 s1", "s2 s1 s2"],
+])
+def test_bad_budget_env_var_is_a_domain_error(capsys, monkeypatch, raw,
+                                              command):
+    monkeypatch.setenv("BRAIDFORGE_BUDGET", raw)
+    assert run(command) == 1
+    _, err = out_of(capsys)
+    assert "braidforge: BRAIDFORGE_BUDGET" in err
+
+
+def test_empty_budget_env_var_means_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDFORGE_BUDGET", "")
+    assert run(["normal-form", "-n", "3", "s1 s1"]) == 0
+    assert out_of(capsys)[0].startswith("w2:")
+
+
+def test_budget_flag_wins_over_the_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDFORGE_BUDGET", "abc")
+    assert run(["normal-form", "-n", "3", "--budget", "1000",
+                "s1 s1"]) == 0
+
+
+@pytest.mark.parametrize("raw", ["", "0", "-5", "abc"])
+def test_commands_without_a_budget_ignore_the_env_var(capsys, monkeypatch,
+                                                      raw):
+    monkeypatch.setenv("BRAIDFORGE_BUDGET", raw)
+    assert run(["pi", "-n", "3", "s1 v2 t1"]) == 0
+    assert out_of(capsys)[0] == "(1 3)"
+
+
+def test_certificate_error_is_an_internal_error_exit_4(capsys, monkeypatch):
+    lift = CertStore.lift_fusing_chain
+
+    def broken(self, chain):
+        lifted = lift(self, chain)
+        return Chain(lifted.start, lifted.steps[:-1])
+
+    monkeypatch.setattr(CertStore, "lift_fusing_chain", broken)
+    assert run(["decide", "-n", "3", "v1 s2 v1", "v2 s1 v2"]) == 4
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("braidforge: internal error: ")
+    assert "does not close" in err
+    assert "Traceback" not in err
 
 
 def test_verify_suite_quick(capsys):

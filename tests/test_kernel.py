@@ -1,24 +1,17 @@
-"""The compiled kernel and the pure kernel must be indistinguishable.
+"""The byte-string kernel against references spelled out here.
 
-The compiled twin is optional; when it did not build, the cross-checks
-here are skipped and only the pure kernel's own contracts run.
+neighbors reduces only at the two splice seams; the reference below
+fully re-reduces every occurrence's splice, in pattern-major order, so
+any seam it misses shows up as a difference.
 """
 
 import random
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from braidforge import kernel
-from braidforge import _kernel_py as pure
-from braidforge.relations import standard_moves
-
-try:
-    from braidforge import _speedups as fast
-except ImportError:
-    fast = None
-
-needs_fast = pytest.mark.skipif(fast is None,
-                                reason="compiled kernel not built")
+from braidforge import kernel, search
+from braidforge.relations import fusing_moves, standard_moves
+from braidforge.search import _edges
 
 
 def random_cases(seed=7, count=200):
@@ -29,92 +22,150 @@ def random_cases(seed=7, count=200):
         yield bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
 
 
+def reference_neighbors(w, patterns, replacements, inv, max_len):
+    """Every occurrence of every pattern, scanned pattern by pattern,
+    spliced and fully reduced; duplicates and long words dropped."""
+    out, seen = [], {w}
+    for mi, pat in enumerate(patterns):
+        for pos in range(len(w) - len(pat) + 1):
+            if w[pos:pos + len(pat)] != pat:
+                continue
+            nw = kernel.free_reduce_bytes(
+                w[:pos] + replacements[mi] + w[pos + len(pat):], inv)
+            if len(nw) <= max_len and nw not in seen:
+                seen.add(nw)
+                out.append((nw, pos, mi))
+    return out
+
+
 def test_free_reduce_is_reduced_and_stable():
     inv = standard_moves(3).inverse_table
     for w in random_cases():
-        r = pure.free_reduce_bytes(w, inv)
-        assert pure.is_reduced(r, inv)
-        assert pure.free_reduce_bytes(r, inv) == r
+        r = kernel.free_reduce_bytes(w, inv)
+        assert all(r[k + 1] != inv[r[k]] for k in range(len(r) - 1))
+        assert kernel.free_reduce_bytes(r, inv) == r
 
 
 def test_reduce_with_events_replays():
     inv = standard_moves(3).inverse_table
     for w in random_cases(seed=8):
-        reduced, events = pure.reduce_with_events(w, inv)
+        reduced, events = kernel.reduce_with_events(w, inv)
         cur = w
         for pos in events:
             assert cur[pos + 1] == inv[cur[pos]]
             cur = cur[:pos] + cur[pos + 2:]
         assert cur == reduced
-        assert reduced == pure.free_reduce_bytes(w, inv)
-
-
-def test_splice():
-    assert pure.splice(b"abcdef", 2, 3, b"XY") == b"abXYf"
-    assert pure.splice(b"abc", 0, 0, b"Z") == b"Zabc"
-    assert pure.splice(b"abc", 3, 0, b"Z") == b"abcZ"
-
-
-def test_find_matches_scan_order():
-    assert pure.find_matches(b"abab", [b"ab", b"ba"]) == [
-        (0, 0), (1, 1), (2, 0)]
-    assert pure.find_matches(b"aaa", [b"aa"]) == [(0, 0), (1, 0)]
+        assert reduced == kernel.free_reduce_bytes(w, inv)
 
 
 def test_neighbors_substitutions_are_reduced_and_bounded():
     table = standard_moves(3)
     inv = table.inverse_table
     for w in random_cases(seed=9, count=50):
-        reduced = pure.free_reduce_bytes(w, inv)
-        for nw, pos, mi in pure.neighbors(reduced, list(table.patterns),
-                                          list(table.replacements), inv,
-                                          len(reduced) + 2, b""):
-            assert pure.is_reduced(nw, inv)
+        reduced = kernel.free_reduce_bytes(w, inv)
+        for nw, pos, mi in kernel.neighbors(reduced, list(table.patterns),
+                                            list(table.replacements), inv,
+                                            len(reduced) + 2, b""):
+            assert kernel.free_reduce_bytes(nw, inv) == nw
             assert len(nw) <= len(reduced) + 2
             assert nw != reduced
 
 
 def test_kernel_module_exposes_one_implementation():
-    assert kernel.IMPLEMENTATION in ("pure", "compiled")
+    assert kernel.IMPLEMENTATION == "pure"
     assert kernel.free_reduce_bytes(b"", b"") == b""
 
 
-@needs_fast
-def test_compiled_matches_pure_free_reduce():
-    inv = standard_moves(3).inverse_table
-    for w in random_cases(seed=10, count=300):
-        assert fast.free_reduce_bytes(w, inv) == pure.free_reduce_bytes(w, inv)
-        assert fast.is_reduced(w, inv) == pure.is_reduced(w, inv)
+def test_kernel_keeps_the_positional_six_argument_call():
+    """The benchmark calls neighbors positionally with plain lists and an
+    empty insertion alphabet, reads IMPLEMENTATION, and traces the
+    searches through the module-level name search.neighbors."""
+    table = standard_moves(4)
+    inv = table.inverse_table
+    patterns, replacements = list(table.patterns), list(table.replacements)
+    assert search.neighbors is kernel.neighbors
+    assert isinstance(kernel.IMPLEMENTATION, str)
+    for w in random_cases(seed=13, count=40):
+        w = kernel.free_reduce_bytes(w, inv)
+        got = kernel.neighbors(w, patterns, replacements, inv,
+                               len(w) + 2, b"")
+        assert got == reference_neighbors(w, patterns, replacements, inv,
+                                          len(w) + 2)
 
 
-@needs_fast
-def test_compiled_matches_pure_events_and_matches():
-    inv = standard_moves(3).inverse_table
-    pats = list(standard_moves(3).patterns)
-    for w in random_cases(seed=11, count=200):
-        assert fast.reduce_with_events(w, inv) == pure.reduce_with_events(w, inv)
-        assert fast.find_matches(w, pats) == pure.find_matches(w, pats)
-
-
-@needs_fast
-def test_compiled_matches_pure_neighbors():
+def test_insertions_into_a_reduced_word_add_nothing():
     table = standard_moves(3)
     inv = table.inverse_table
-    for w in random_cases(seed=12, count=100):
-        reduced = pure.free_reduce_bytes(w, inv)
-        a = fast.neighbors(reduced, list(table.patterns),
-                           list(table.replacements), inv, len(reduced) + 2,
-                           table.insert_codes)
-        b = pure.neighbors(reduced, list(table.patterns),
-                           list(table.replacements), inv, len(reduced) + 2,
-                           table.insert_codes)
-        assert a == b
+    for w in random_cases(seed=14, count=40):
+        w = kernel.free_reduce_bytes(w, inv)
+        args = (w, table.patterns, table.replacements, inv, len(w) + 2)
+        assert (kernel.neighbors(*args, table.insert_codes)
+                == kernel.neighbors(*args, b""))
 
 
-@needs_fast
-def test_compiled_is_selected_by_default():
-    import os
+# A toy alphabet for the seam cases: a/A, b/B, c/C, d/D are inverse
+# pairs and e is only ever the matched pattern.
+TOY = {ch: k for k, ch in enumerate("aAbBcCdDeE")}
+TOY_INV = bytes(k ^ 1 if k < len(TOY) else k for k in range(256))
 
-    if os.environ.get("BRAIDFORGE_PURE"):
-        pytest.skip("pure kernel forced via environment")
-    assert kernel.IMPLEMENTATION == "compiled"
+
+def toy(text):
+    return bytes(TOY[ch] for ch in text)
+
+
+def one_move(word, repl, max_len=99):
+    w = toy(word)
+    pats, repls = [toy("e")], [toy(repl)]
+    got = kernel.neighbors(w, pats, repls, TOY_INV, max_len, b"")
+    assert got == reference_neighbors(w, pats, repls, TOY_INV, max_len)
+    return [(nw, pos) for nw, pos, _ in got]
+
+
+def test_seam_replacement_used_up_from_the_left_cancels_into_the_right():
+    # c b a | A B | C d: a A and b B cancel, then c meets C.
+    assert one_move("cbaeCd", "AB") == [(toy("d"), 3)]
+
+
+def test_seam_replacement_used_up_from_the_right():
+    # d c | B A | a b C: the tail A a, then B b cancel, then c meets C.
+    assert one_move("dceabC", "BA") == [(toy("d"), 2)]
+
+
+def test_seam_cut_at_both_ends():
+    # c a | A c B | b d: one letter cancels on each side, c survives.
+    assert one_move("caebd", "AcB") == [(toy("ccd"), 2)]
+
+
+def test_seam_length_bound_counts_the_reduced_word():
+    # Each replacement here is longer than its pattern and fits only
+    # because something cancels at a seam.
+    assert one_move("caebd", "AcB", max_len=3) == [(toy("ccd"), 2)]
+    assert one_move("caebd", "AcB", max_len=2) == []
+    assert one_move("dceabC", "BA", max_len=1) == [(toy("d"), 2)]
+    assert one_move("cbaeCd", "AB", max_len=1) == [(toy("d"), 3)]
+    # An empty replacement lets the outer parts meet, even when w itself
+    # is longer than the bound.
+    assert one_move("e", "") == [(b"", 0)]
+    assert one_move("ceC", "", max_len=0) == [(b"", 1)]
+    assert one_move("ceD", "", max_len=1) == []
+
+
+TABLES = st.sampled_from([(make, n) for make in (standard_moves, fusing_moves)
+                          for n in (3, 4, 5)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(TABLES, st.booleans(), st.data())
+def test_neighbors_match_the_full_reduction_reference(table_at, split, data):
+    make, n = table_at
+    table = make(n)
+    inv = table.inverse_table
+    edges = _edges(table, split)
+    alphabet = sorted(set(b"".join(table.patterns)))
+    letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=14))
+    w = kernel.free_reduce_bytes(bytes(letters), inv)
+    max_len = len(w) + data.draw(st.integers(-2, 4))
+    assert (kernel.neighbors(w, edges.patterns, edges.replacements, inv,
+                             max_len, b"")
+            == reference_neighbors(w, edges.patterns, edges.replacements,
+                                   inv, max_len))

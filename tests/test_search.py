@@ -4,8 +4,8 @@ from braidforge import (CertificateError, parse_braid_word,
                         parse_fusing_word, validate_chain)
 from braidforge.chains import chain_end
 from braidforge.fusing import fusing_alphabet
-from braidforge.relations import fusing_moves, standard_moves
-from braidforge.search import bfs_chain, tiered_chain
+from braidforge.relations import MoveTable, fusing_moves, standard_moves
+from braidforge.search import _edges, _EdgeSet, bfs_chain, tiered_chain
 
 TABLE = standard_moves(3)
 
@@ -102,3 +102,21 @@ def test_chains_start_at_the_unreduced_input():
     assert chain is not None
     assert chain.start == raw
     assert validate_chain(chain, TABLE) == codes("s2 s1 s2")
+
+
+def test_equal_rebuilt_table_shares_its_edge_set():
+    rebuilt = standard_moves.__wrapped__(3)
+    assert rebuilt is not TABLE and rebuilt == TABLE
+    assert rebuilt.patterns is not TABLE.patterns
+    for split in (False, True):
+        assert _edges(rebuilt, split) is _edges(TABLE, split)
+    assert _edges(TABLE, True) is not _edges(TABLE, False)
+
+
+def test_edge_set_rejects_an_unreduced_replacement():
+    inv = TABLE.inverse_table
+    s1, s1_inv = codes("s1"), codes("S1")
+    bad = MoveTable((s1,), (codes("s2") + s1 + s1_inv,), b"", inv,
+                    frozenset())
+    with pytest.raises(CertificateError, match="not freely reduced"):
+        _EdgeSet(bad, False)
