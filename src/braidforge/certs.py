@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 
-from .chains import (Chain, Step, chain_concat, chain_end, chain_invert,
-                     chain_mirror, reduction_steps, validate_chain)
+from .chains import (Builder, Chain, _rev_inv, chain_concat, chain_end,
+                     chain_invert, chain_mirror, validate_chain)
 from .decomposition import ConjugatedLetter, conjugate_letter
 from .errors import CertificateError
 from .fusing import (Family, FusingLetter, FusingWord, _sweep_raw,
@@ -42,30 +42,6 @@ from .words import (BraidWord, GeneratorLetter, Kind, concat_words,
                     decode_letter, encode_letter, invert_word)
 
 __all__ = ["CertStore", "get_store"]
-
-
-class _Builder:
-    """A word being rewritten, accumulating the steps as it goes."""
-
-    def __init__(self, word: bytes):
-        self.word = word
-        self.steps: list[Step] = []
-
-    def splice(self, pos: int, lhs: bytes, rhs: bytes) -> None:
-        if self.word[pos:pos + len(lhs)] != lhs:
-            raise CertificateError(
-                f"builder expected {lhs!r} at {pos}, word is {self.word!r}")
-        self.steps.append(Step(pos, lhs, rhs))
-        self.word = self.word[:pos] + rhs + self.word[pos + len(lhs):]
-
-    def embed(self, chain: Chain, offset: int) -> None:
-        for step in chain.steps:
-            self.splice(step.pos + offset, step.lhs, step.rhs)
-
-    def reduce_span(self, offset: int, length: int, inv: bytes) -> None:
-        span = self.word[offset:offset + length]
-        for step in reduction_steps(span, inv):
-            self.splice(step.pos + offset, step.lhs, step.rhs)
 
 
 class CertStore:
@@ -126,7 +102,7 @@ class CertStore:
     def transport_block(self, block: bytes, g: FusingLetter
                         ) -> tuple[Chain, FusingLetter]:
         """Chain block * rho(g) => rho(g') * block for a v-only block."""
-        bld = _Builder(block + self.rho(g))
+        bld = Builder(block + self.rho(g), self.std.inverse_table)
         current = g
         for idx in range(len(block) - 1, -1, -1):
             letter_index = _v_index(block[idx])
@@ -135,10 +111,9 @@ class CertStore:
             current = act_permutation(
                 transposition(self.n, letter_index, letter_index + 1),
                 current)
-        chain = Chain(block + self.rho(g), tuple(bld.steps))
         if bld.word != self.rho(current) + block:
             raise CertificateError("block transport drifted")
-        return chain, current
+        return bld.chain(), current
 
     def v_word_chain(self, start: bytes, goal: bytes) -> Chain:
         """Chain between two all-virtual words with the same permutation."""
@@ -163,7 +138,7 @@ class CertStore:
         into rho(pure) * coset word; pure is the unreduced sweep image.
         """
         n = self.n
-        bld = _Builder(word.codes)
+        bld = Builder(word.codes, self.std.inverse_table)
         p_len = 0
         block = b""
         p_letters: list[FusingLetter] = []
@@ -197,14 +172,13 @@ class CertStore:
         rep = coset.braid_word.codes
         if block != rep:
             bld.embed(self.v_word_chain(block, rep), p_len)
-        chain = Chain(word.codes, tuple(bld.steps))
         pure = FusingWord(n, tuple(p_letters))
         check, _ = _sweep_raw(word)
         if check.letters != pure.letters:
             raise CertificateError("certified sweep disagrees with sweep")
         if bld.word != self.rho_word(p_letters) + rep:
             raise CertificateError("certified sweep drifted")
-        return chain, pure, coset
+        return bld.chain(), pure, coset
 
     # -- fusing-level lifts ------------------------------------------
 
@@ -212,15 +186,15 @@ class CertStore:
         """Chain rho(letters) => rho(freely reduced letters)."""
         codes = self.enc(letters)
         _, events = reduce_with_events(codes, self.alph.inverse_table)
-        bld = _Builder(self.rho_word(letters))
+        bld = Builder(self.rho_word(letters), self.std.inverse_table)
         current = list(letters)
         for pos in events:
             offset = sum(len(self.rho(l)) for l in current[:pos])
             length = len(self.rho(current[pos])) + len(self.rho(
                 current[pos + 1]))
-            bld.reduce_span(offset, length, self.std.inverse_table)
+            bld.reduce_span(offset, length)
             del current[pos:pos + 2]
-        return Chain(self.rho_word(letters), tuple(bld.steps)), tuple(current)
+        return bld.chain(), tuple(current)
 
     def _provenance_index(self):
         if self._provenance is None:
@@ -249,20 +223,19 @@ class CertStore:
             raise CertificateError("derived relation sweep drifted")
         # rho(red_l) => rho(pure_l), append rep * rep^-1, undo sweep_l,
         # base substitution, redo sweep_r, drop rep, reduce to rho(red_r).
-        bld = _Builder(self.rho_word(red_l))
-        bld.embed(chain_invert(lift_l), 0)
-        for t, code in enumerate(rep):
-            bld.splice(len(self.rho_word(pure_l.letters)) + t, b"",
-                       bytes((code, self.std.inverse_table[code])))
-        bld.embed(chain_invert(sweep_l), 0)
+        inv = self.std.inverse_table
+        bld = Builder(self.rho_word(red_l), inv)
+        bld.embed(chain_invert(lift_l))
+        bld.expand_span(len(self.rho_word(pure_l.letters)),
+                        rep + _rev_inv(rep, inv))
+        bld.embed(chain_invert(sweep_l))
         bld.splice(len(c.codes), rel.base_lhs.codes, rel.base_rhs.codes)
-        bld.embed(sweep_r, 0)
-        offset = len(self.rho_word(pure_r.letters))
-        bld.reduce_span(offset, 2 * len(rep), self.std.inverse_table)
-        bld.embed(lift_r, 0)
+        bld.embed(sweep_r)
+        bld.reduce_span(len(self.rho_word(pure_r.letters)), 2 * len(rep))
+        bld.embed(lift_r)
         if bld.word != self.rho_word(red_r):
             raise CertificateError("derived relation cert drifted")
-        chain = Chain(self.rho_word(red_l), tuple(bld.steps))
+        chain = bld.chain()
         self._derived[rel] = chain
         return chain
 
@@ -318,7 +291,7 @@ class CertStore:
         through plain free reduction.
         """
         letters = list(self.alph.decode(chain.start).letters)
-        bld = _Builder(self.rho_word(letters))
+        bld = Builder(self.rho_word(letters), self.std.inverse_table)
         inv = self.alph.inverse_table
         for step in chain.steps:
             offset = sum(len(self.rho(l)) for l in letters[:step.pos])
@@ -326,25 +299,20 @@ class CertStore:
             rhs_letters = tuple(self.alph.letters[c] for c in step.rhs)
             if not step.lhs and len(step.rhs) == 2 \
                     and step.rhs[1] == inv[step.rhs[0]]:
-                span = self.rho_word(rhs_letters)
-                bld.embed(chain_invert(
-                    Chain(span, reduction_steps(span,
-                                                self.std.inverse_table))),
-                    offset)
+                bld.expand_span(offset, self.rho_word(rhs_letters))
             elif not step.rhs and len(step.lhs) == 2 \
                     and step.lhs[1] == inv[step.lhs[0]]:
                 length = sum(len(self.rho(l)) for l in lhs_letters)
-                bld.reduce_span(offset, length, self.std.inverse_table)
+                bld.reduce_span(offset, length)
             else:
                 bld.embed(self.fusing_step_cert(lhs_letters, rhs_letters),
                           offset)
             letters[step.pos:step.pos + len(step.lhs)] = rhs_letters
         if bld.word != self.rho_word(letters):
             raise CertificateError("fusing chain lift drifted")
-        return Chain(self.rho_word(self.alph.decode(chain.start).letters),
-                     tuple(bld.steps))
+        return bld.chain()
 
-    # -- normal-form macros (the decomposition trace's providers) ----
+    # -- normal-form macros (what _traced_normal_form asks of its provider)
 
     def conj_chain(self, cl: ConjugatedLetter, y: FusingLetter) -> Chain:
         """Fusing chain y^-1 flat(cl) y => flats of conjugate_letter."""
@@ -380,14 +348,13 @@ class CertStore:
         limit = max(len(mid_start), len(mid_goal), len(goal)) + 4
         mid = tiered_chain(mid_start, mid_goal, self.fus, max_len=limit,
                            max_nodes=600_000, require=True)
-        bld = _Builder(start)
+        bld = Builder(start, inv)
         bld.embed(mid, 1)
-        bld.reduce_span(0, len(bld.word), inv)
-        tail = Chain(goal, reduction_steps(goal, inv))
-        bld.embed(chain_invert(tail), 0)
+        bld.reduce_span(0, len(bld.word))
+        bld.expand_span(0, goal)
         if bld.word != goal:
             raise CertificateError("conjugation glue drifted")
-        return Chain(start, tuple(bld.steps))
+        return bld.chain()
 
     def twist_chain(self, a: FusingLetter, b: FusingLetter) -> Chain:
         """Fusing chain [a, b] => twisted pair (m-first form)."""

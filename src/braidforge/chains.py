@@ -13,8 +13,9 @@ step shapes:
 
 Steps are exact splices on the word as it stands, never silently
 reduced, so chains embed into enclosing words by shifting positions and
-compose by concatenation.  Everything here is alphabet-agnostic: the
-same machinery runs on crossing codes and on fusing codes.
+compose by concatenation.  Builder assembles a chain that way, splice
+by splice.  Everything here is alphabet-agnostic: the same machinery
+runs on crossing codes and on fusing codes.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ __all__ = [
     "Step",
     "Chain",
     "apply_step",
-    "replay",
     "chain_end",
     "validate_chain",
-    "shift_steps",
     "chain_concat",
     "chain_invert",
     "chain_mirror",
     "erase_loops",
     "reduction_steps",
-    "open_chain",
+    "Builder",
 ]
 
 
@@ -61,15 +60,11 @@ def apply_step(word: bytes, step: Step) -> bytes:
     return word[:step.pos] + step.rhs + word[step.pos + len(step.lhs):]
 
 
-def replay(start: bytes, steps: tuple[Step, ...]) -> bytes:
-    word = start
-    for step in steps:
+def chain_end(chain: Chain) -> bytes:
+    word = chain.start
+    for step in chain.steps:
         word = apply_step(word, step)
     return word
-
-
-def chain_end(chain: Chain) -> bytes:
-    return replay(chain.start, chain.steps)
 
 
 def _step_allowed(step: Step, allowed, inv: bytes) -> bool:
@@ -94,12 +89,6 @@ def validate_chain(chain: Chain, table) -> bytes:
                 f"step {k} ({step.lhs!r} -> {step.rhs!r}) is not a move")
         word = apply_step(word, step)
     return word
-
-
-def shift_steps(steps: tuple[Step, ...], offset: int) -> tuple[Step, ...]:
-    """Embed steps into a larger word with `offset` letters of untouched
-    left context (the right context needs no adjustment)."""
-    return tuple(Step(s.pos + offset, s.lhs, s.rhs) for s in steps)
 
 
 def chain_concat(first: Chain, second: Chain) -> Chain:
@@ -173,26 +162,46 @@ def reduction_steps(word: bytes, inv: bytes) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def open_chain(a: bytes, b: bytes, closed: Chain, inv: bytes) -> Chain:
-    """Turn a closed chain (a + inv(b) => empty) into a chain a => b.
+class Builder:
+    """A word being rewritten from `start`, accumulating the steps.
 
-    Inserts inv(b) * b after a, pair by pair from the outside in, then
-    runs the closed chain on the prefix; the trailing copy of b survives
-    untouched.
+    Every splice is checked against the word as it stands, so a step
+    that does not fit raises CertificateError where it is made.
     """
-    if closed.start != a + _rev_inv(b, inv):
-        raise CertificateError("closed chain does not start at a * inv(b)")
-    if chain_end(closed) != b"":
-        raise CertificateError("closed chain does not reach the empty word")
-    steps: list[Step] = []
-    for k in range(len(b)):
-        # After k insertions the word is a, then the last k letters of
-        # inv(b), then the first k letters of b; the next pair goes in
-        # the middle, at position len(a) + k.
-        c = b[len(b) - 1 - k]
-        steps.append(Step(len(a) + k, b"", bytes((inv[c], c))))
-    steps.extend(closed.steps)
-    chain = Chain(a, tuple(steps))
-    if chain_end(chain) != b:
-        raise CertificateError("opened chain does not reach b")
-    return chain
+
+    def __init__(self, start: bytes, inv: bytes):
+        self.start = start
+        self.inv = inv
+        self.word = start
+        self.steps: list[Step] = []
+
+    def _run(self, steps, offset: int) -> None:
+        for step in steps:
+            if offset:
+                step = Step(step.pos + offset, step.lhs, step.rhs)
+            self.word = apply_step(self.word, step)
+            self.steps.append(step)
+
+    def splice(self, pos: int, lhs: bytes, rhs: bytes) -> None:
+        self._run((Step(pos, lhs, rhs),), 0)
+
+    def embed(self, chain: Chain, offset: int = 0) -> None:
+        """Run chain's steps on the span that starts at offset."""
+        self._run(chain.steps, offset)
+
+    def reduce_span(self, offset: int, length: int) -> None:
+        """Freely reduce the span of `length` letters at offset."""
+        span = self.word[offset:offset + length]
+        self._run(reduction_steps(span, self.inv), offset)
+
+    def expand_span(self, offset: int, word: bytes) -> None:
+        """Grow the reduced form of word, found at offset, back into
+        word: the free reduction of word run backwards.  From an empty
+        span, word = codes + rev_inv(codes) grows pair by pair from the
+        outside in."""
+        self._run([Step(s.pos, s.rhs, s.lhs)
+                   for s in reversed(reduction_steps(word, self.inv))],
+                  offset)
+
+    def chain(self) -> Chain:
+        return Chain(self.start, tuple(self.steps))

@@ -22,11 +22,11 @@ import os
 import re
 from dataclasses import dataclass, replace
 
-from .chains import Chain, Step, chain_mirror, reduction_steps
+from .chains import Builder, _rev_inv, chain_mirror
 from .errors import (BraidSyntaxError, CertificateError, DomainError,
                      ResourceBoundError)
-from .fusing import (Family, FusingLetter, FusingWord, fusing_alphabet,
-                     gamma, mu, parse_fusing_word, to_pure_times_coset)
+from .fusing import (Family, FusingLetter, FusingWord, gamma, mu,
+                     parse_fusing_word, to_pure_times_coset)
 from .perms import (SchreierWord, identity_permutation, permutation_of,
                     schreier_representative)
 from .words import BraidWord, concat_words, free_reduce
@@ -303,58 +303,17 @@ def _twist_rewrite(a: FusingLetter, b: FusingLetter
     return None
 
 
-class _Trace:
-    """Mirror of the decomposition as a fusing-level rewrite chain.
-
-    Maintains the byte image of the working word and accumulates exact
-    splice steps; macro sub-chains (conjugation identities and twist
-    moves) come from the provider handed to the traced entry point.
-    """
-
-    def __init__(self, alph, macros, letters):
-        self.alph = alph
-        self.inv = alph.inverse_table
-        self.macros = macros
-        self.word = bytes(alph.code_of[l] for l in letters)
-        self.steps: list[Step] = []
-
-    def code(self, letter: FusingLetter) -> int:
-        return self.alph.code_of[letter]
-
-    def enc(self, letters) -> bytes:
-        return bytes(self.alph.code_of[l] for l in letters)
-
-    def splice(self, pos: int, lhs: bytes, rhs: bytes) -> None:
-        if self.word[pos:pos + len(lhs)] != lhs:
-            raise CertificateError(
-                f"trace expected {lhs!r} at {pos}, word is {self.word!r}")
-        self.steps.append(Step(pos, lhs, rhs))
-        self.word = self.word[:pos] + rhs + self.word[pos + len(lhs):]
-
-    def embed(self, chain: Chain, offset: int) -> None:
-        for step in chain.steps:
-            self.splice(step.pos + offset, step.lhs, step.rhs)
-
-    def reduce_span(self, offset: int, length: int) -> None:
-        span = self.word[offset:offset + length]
-        self.embed(Chain(span, reduction_steps(span, self.inv)), offset)
-
-    def insert_pairs_span(self, offset: int, codes: bytes) -> None:
-        """codes * rev_inv(codes) materialized from nothing, outside in."""
-        for t, c in enumerate(codes):
-            self.splice(offset + t, b"", bytes((c, self.inv[c])))
-
-
 def _flat_len(cl: ConjugatedLetter) -> int:
     return 2 * len(cl.conjugator) + 1
 
 
 def _decompose_worker(letters, n: int, budget: _Budget, macros=None,
-                      trace: "_Trace | None" = None):
+                      trace: Builder | None = None):
     """Shared engine behind normal_form and conjugator canonicalization.
 
     Takes plain fusing letters, returns the layer tuple for levels
-    n-1 .. 1; when tracing, also mirrors every move into `trace`.
+    n-1 .. 1; when tracing, also mirrors every move into `trace`, a
+    Builder on the fusing codes whose sub-chains come from `macros`.
     Phases: free reduction, a global twist pre-pass, then one
     front-collection pass per level from the top down, sealing each
     layer by canonicalizing conjugators and cancelling/twisting to a
@@ -385,8 +344,8 @@ def _decompose_worker(letters, n: int, budget: _Budget, macros=None,
             if new is not None:
                 budget.spend()
                 if trace is not None:
-                    chain = trace.macros.twist_chain(work[idx], work[idx + 1])
-                    trace.embed(chain, idx)
+                    trace.embed(macros.twist_chain(work[idx], work[idx + 1]),
+                                idx)
                 work[idx], work[idx + 1] = new
                 changed = True
                 break
@@ -404,7 +363,8 @@ def _decompose_worker(letters, n: int, budget: _Budget, macros=None,
                 if lower and lower[-1] == letter.inverse():
                     if trace is not None:
                         pos = front_len + cfl + len(lower) - 1
-                        trace.splice(pos, trace.enc((lower[-1], letter)), b"")
+                        trace.splice(pos, macros.enc((lower[-1], letter)),
+                                     b"")
                     lower.pop()
                 else:
                     lower.append(letter)
@@ -413,7 +373,8 @@ def _decompose_worker(letters, n: int, budget: _Budget, macros=None,
             for depth in range(len(lower), 0, -1):
                 y = lower[depth - 1].inverse()
                 if trace is not None:
-                    _trace_push(trace, front_len + cfl + depth - 1, moved, y)
+                    _trace_push(trace, macros, front_len + cfl + depth - 1,
+                                moved, y)
                 step_out: list[ConjugatedLetter] = []
                 for cl in moved:
                     budget.spend()
@@ -429,7 +390,8 @@ def _decompose_worker(letters, n: int, budget: _Budget, macros=None,
     return tuple(layers)
 
 
-def _trace_push(trace: _Trace, offset: int, moved, y: FusingLetter) -> None:
+def _trace_push(trace: Builder, macros, offset: int, moved,
+                y: FusingLetter) -> None:
     """Byte moves for one push: letter l, then the flats of `moved`,
     becomes the flats of their y-conjugates followed by l (y = l^-1).
 
@@ -439,7 +401,7 @@ def _trace_push(trace: _Trace, offset: int, moved, y: FusingLetter) -> None:
     """
     flats = [cl.flat() for cl in moved]
     base = offset + 1
-    ycode = trace.code(y)
+    ycode = macros.alph.code_of[y]
     # Right to left so earlier positions stay valid.
     for t in range(len(flats), 0, -1):
         trace.splice(base + sum(len(f) for f in flats[:t]), b"",
@@ -452,11 +414,11 @@ def _trace_push(trace: _Trace, offset: int, moved, y: FusingLetter) -> None:
         offsets.append(pos)
         pos += len(f) + 2
     for t in range(len(moved) - 1, -1, -1):
-        trace.embed(trace.macros.conj_chain(moved[t], y), offsets[t])
+        trace.embed(macros.conj_chain(moved[t], y), offsets[t])
 
 
 def _seal_layer(collected, level: int, n: int, budget: _Budget, macros,
-                trace: "_Trace | None", front_len: int) -> None:
+                trace: Builder | None, front_len: int) -> None:
     """Finish one layer in place: canonicalize every conjugator, then
     cancel inverse pairs and orient twists until nothing applies."""
     # Conjugator canonicalization.
@@ -467,7 +429,7 @@ def _seal_layer(collected, level: int, n: int, budget: _Budget, macros,
         budget.spend()
         sub_trace = None
         if trace is not None:
-            sub_trace = _Trace(trace.alph, trace.macros, cl.conjugator)
+            sub_trace = Builder(macros.enc(cl.conjugator), trace.inv)
         sub_layers = _decompose_worker(cl.conjugator, n, budget, macros,
                                        sub_trace)
         canon = tuple(_flatten_layers(sub_layers))
@@ -476,7 +438,7 @@ def _seal_layer(collected, level: int, n: int, budget: _Budget, macros,
         if trace is not None:
             offset = front_len + sum(_flat_len(c) for c in collected[:idx])
             c_len = len(cl.conjugator)
-            sub = Chain(trace.enc(cl.conjugator), tuple(sub_trace.steps))
+            sub = sub_trace.chain()
             # Suffix copy first; the prefix's span is unaffected.
             trace.embed(sub, offset + c_len + 1)
             trace.embed(chain_mirror(sub, trace.inv), offset)
@@ -512,13 +474,14 @@ def _seal_layer(collected, level: int, n: int, budget: _Budget, macros,
                 offset = front_len + sum(_flat_len(c)
                                          for c in collected[:idx])
                 c_len = len(a.conjugator)
-                conj_codes = trace.enc(a.conjugator)
+                conj_codes = macros.enc(a.conjugator)
                 # flat(a) flat(b) = C^-1 a C C^-1 b C: cancel the middle,
                 # twist the bare pair, regrow the middle.
                 trace.reduce_span(offset + c_len + 1, 2 * c_len)
-                trace.embed(trace.macros.twist_chain(a.letter, b.letter),
+                trace.embed(macros.twist_chain(a.letter, b.letter),
                             offset + c_len)
-                trace.insert_pairs_span(offset + c_len + 1, conj_codes)
+                trace.expand_span(offset + c_len + 1,
+                                  conj_codes + _rev_inv(conj_codes, trace.inv))
             collected[idx] = ConjugatedLetter(
                 replace(new[0], exponent=1), new[0].exponent, a.conjugator)
             collected[idx + 1] = ConjugatedLetter(
@@ -565,7 +528,16 @@ def _traced_normal_form(word, macros, *, budget: int | None = None):
     Returns (nf, chain) where chain rewrites the unreduced pure part of
     `word` into flatten(nf), step by step over the pure presentation's
     moves.  Internal: the equivalence oracle uses it to assemble
-    witnesses; the chain's sub-derivations come from `macros`.
+    witnesses.  The chain's sub-derivations come from `macros`, which
+    provides, for the word's strand count:
+
+    * alph: the fusing alphabet, whose codes the chain rewrites;
+    * enc(letters): the codes of a sequence of fusing letters;
+    * conj_chain(cl, y): a chain y^-1 flat(cl) y => the flats of
+      conjugate_letter(cl, y);
+    * twist_chain(a, b): a chain a b => _twist_rewrite(a, b).
+
+    certs.CertStore is the provider the oracle passes.
     """
     from .fusing import _sweep_raw
     if isinstance(word, BraidWord):
@@ -573,15 +545,12 @@ def _traced_normal_form(word, macros, *, budget: int | None = None):
     else:
         pure, coset = _coerce_pure(word)
     b = _Budget(_default_budget() if budget is None else budget)
-    alph = fusing_alphabet(pure.strands)
-    trace = _Trace(alph, macros, pure.letters)
-    start = trace.word
+    trace = Builder(macros.enc(pure.letters), macros.alph.inverse_table)
     layers = _decompose_worker(pure.letters, pure.strands, b, macros, trace)
     nf = LayeredNormalForm(pure.strands, layers, coset)
-    expected = trace.enc(_flatten_layers(layers))
-    if trace.word != expected:
+    if trace.word != macros.enc(_flatten_layers(layers)):
         raise CertificateError("trace does not reach the flattened layers")
-    return nf, Chain(start, tuple(trace.steps))
+    return nf, trace.chain()
 
 
 def flatten(nf: LayeredNormalForm) -> FusingWord:

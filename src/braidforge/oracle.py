@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .certs import CertStore, _Builder, get_store
-from .chains import (Chain, _rev_inv, chain_end, chain_invert, chain_mirror,
+from .certs import CertStore, get_store
+from .chains import (Builder, Chain, _rev_inv, chain_end, chain_mirror,
                      erase_loops, reduction_steps, validate_chain)
 from .decomposition import _traced_normal_form, pair_counts
 from .errors import CertificateError, DomainError, ResourceBoundError
@@ -120,15 +120,7 @@ def _coerce_braid(word) -> BraidWord:
     raise DomainError(f"cannot decide equality of {type(word).__name__}")
 
 
-def _closed_from_open(u: bytes, v: bytes, open_chain: Chain,
-                      inv: bytes) -> Chain:
-    """Closed chain u * inv(v) => empty from an open chain u => v."""
-    steps = list(open_chain.steps)
-    steps.extend(reduction_steps(v + _rev_inv(v, inv), inv))
-    return Chain(u + _rev_inv(v, inv), tuple(steps))
-
-
-def _searched_witness(u: BraidWord, v: BraidWord, open_chain: Chain,
+def _searched_witness(u: BraidWord, v: BraidWord, found: Chain,
                       inv: bytes) -> Chain:
     """Close a searched chain red(u) => red(v) into one on u * v^-1.
 
@@ -136,12 +128,12 @@ def _searched_witness(u: BraidWord, v: BraidWord, open_chain: Chain,
     reduces u, then runs the found chain, then un-reduces into v before
     the standard closing cancellation.
     """
-    steps = list(reduction_steps(u.codes, inv))
-    steps.extend(open_chain.steps)
-    steps.extend(chain_invert(
-        Chain(v.codes, reduction_steps(v.codes, inv))).steps)
-    full_open = Chain(u.codes, tuple(steps))
-    return erase_loops(_closed_from_open(u.codes, v.codes, full_open, inv))
+    bld = Builder(u.codes + _rev_inv(v.codes, inv), inv)
+    bld.reduce_span(0, len(u.codes))
+    bld.embed(found)
+    bld.expand_span(0, v.codes)
+    bld.reduce_span(0, len(bld.word))
+    return erase_loops(bld.chain())
 
 
 class _Decider:
@@ -191,16 +183,15 @@ class _Decider:
         inv = st.std.inverse_table
         (chain_u, pure_u, coset_u) = self.sweep_u
         (chain_v, pure_v, coset_v) = self.sweep_v
-        bld = _Builder(self.u.codes + _rev_inv(self.v.codes, inv))
-        bld.embed(chain_u, 0)
+        bld = Builder(self.u.codes + _rev_inv(self.v.codes, inv), inv)
+        bld.embed(chain_u)
         bld.embed(chain_mirror(chain_v, inv),
                   len(bld.word) - len(self.v.codes))
         rep = coset_u.braid_word.codes
         prefix = len(st.rho_word(pure_u.letters))
-        bld.reduce_span(prefix, 2 * len(rep), inv)
-        bld.embed(st.lift_fusing_chain(fusing_closed), 0)
-        witness = erase_loops(Chain(
-            self.u.codes + _rev_inv(self.v.codes, inv), tuple(bld.steps)))
+        bld.reduce_span(prefix, 2 * len(rep))
+        bld.embed(st.lift_fusing_chain(fusing_closed))
+        witness = erase_loops(bld.chain())
         end = validate_chain(witness, st.std)
         if end != b"":
             raise CertificateError("assembled witness does not close")
@@ -214,16 +205,15 @@ class _Decider:
         return (st.enc(pure_u.letters)
                 + _rev_inv(st.enc(pure_v.letters), st.fus.inverse_table))
 
-    def _fusing_builder(self) -> _Builder:
-        return _Builder(self._fusing_closed_word())
+    def _fusing_builder(self) -> Builder:
+        return Builder(self._fusing_closed_word(), self.st.fus.inverse_table)
 
-    def _close_and_finish(self, fb: _Builder, reason: str,
+    def _close_and_finish(self, fb: Builder, reason: str,
                           detail: dict) -> OracleVerdict:
-        fb.reduce_span(0, len(fb.word), self.st.fus.inverse_table)
+        fb.reduce_span(0, len(fb.word))
         if fb.word != b"":
             raise CertificateError("fusing bridge does not close")
-        closed = Chain(self._fusing_closed_word(), tuple(fb.steps))
-        return self._finish(closed, reason, detail)
+        return self._finish(fb.chain(), reason, detail)
 
 
 def decide(u, v, *, max_len: int | None = None,
@@ -257,15 +247,13 @@ def decide(u, v, *, max_len: int | None = None,
 
     ru = free_reduce(u)
     rv = free_reduce(v)
-    closed = free_reduce_bytes(u.codes + _rev_inv(v.codes, inv), inv)
+    closed = u.codes + _rev_inv(v.codes, inv)
     if max_len is None:
         max_len = len(ru.codes) + len(rv.codes) + 4
     if max_nodes is None:
         max_nodes = DEFAULT_MAX_NODES
-    if closed == b"":
-        witness = Chain(u.codes + _rev_inv(v.codes, inv),
-                        reduction_steps(u.codes + _rev_inv(v.codes, inv),
-                                        inv))
+    if free_reduce_bytes(closed, inv) == b"":
+        witness = Chain(closed, reduction_steps(closed, inv))
         return OracleVerdict(Verdict.EQUAL, "free reduction closes", n,
                              witness)
 
@@ -283,10 +271,10 @@ def decide(u, v, *, max_len: int | None = None,
 
     # Small direct search at the crossing level.
     small_nodes = min(SMALL_SEARCH_NODES, max_nodes)
-    open_chain = tiered_chain(ru.codes, rv.codes, st.std,
-                              max_len=max_len, max_nodes=small_nodes)
-    if open_chain is not None:
-        witness = _searched_witness(u, v, open_chain, inv)
+    found = tiered_chain(ru.codes, rv.codes, st.std,
+                         max_len=max_len, max_nodes=small_nodes)
+    if found is not None:
+        witness = _searched_witness(u, v, found, inv)
         validate_chain(witness, st.std)
         return OracleVerdict(Verdict.EQUAL, "found by direct search", n,
                              witness, {"max_nodes": small_nodes})
@@ -313,12 +301,12 @@ def decide(u, v, *, max_len: int | None = None,
                 fb, "sweep meets the other side's normal form", {})
         if flat_u.letters == red_v.letters:
             fb = dec._fusing_builder()
-            fb.embed(chain_fu, 0)
+            fb.embed(chain_fu)
             return dec._close_and_finish(
                 fb, "normal form meets the other side's sweep", {})
         if flat_u.letters == flat_v.letters:
             fb = dec._fusing_builder()
-            fb.embed(chain_fu, 0)
+            fb.embed(chain_fu)
             fb.embed(chain_mirror(chain_fv, finv),
                      len(st.enc(flat_u.letters)))
             return dec._close_and_finish(fb, "normal forms agree", {})
@@ -330,19 +318,18 @@ def decide(u, v, *, max_len: int | None = None,
                        st.fus, max_len=fus_len, max_nodes=fus_nodes)
     if mid is not None:
         fb = dec._fusing_builder()
-        finv = st.fus.inverse_table
-        fb.reduce_span(0, len(st.enc(pure_u.letters)), finv)
+        fb.reduce_span(0, len(st.enc(pure_u.letters)))
         fb.reduce_span(len(st.enc(red_u.letters)),
-                       len(st.enc(pure_v.letters)), finv)
-        fb.embed(mid, 0)
+                       len(st.enc(pure_v.letters)))
+        fb.embed(mid)
         return dec._close_and_finish(
             fb, "fusing search met", {"max_nodes": fus_nodes})
 
     # Last resort: full search at the crossing level.
-    open_chain = tiered_chain(ru.codes, rv.codes, st.std,
-                              max_len=max_len, max_nodes=max_nodes)
-    if open_chain is not None:
-        witness = _searched_witness(u, v, open_chain, inv)
+    found = tiered_chain(ru.codes, rv.codes, st.std,
+                         max_len=max_len, max_nodes=max_nodes)
+    if found is not None:
+        witness = _searched_witness(u, v, found, inv)
         validate_chain(witness, st.std)
         return OracleVerdict(Verdict.EQUAL, "full search met", n,
                              witness, {"max_nodes": max_nodes})

@@ -38,7 +38,6 @@ __all__ = [
     "schreier_system",
     "schreier_representative",
     "coset_map",
-    "is_schreier_word",
     "MAX_SCHREIER_STRANDS",
 ]
 
@@ -251,12 +250,3 @@ def schreier_representative(perm: Permutation, n: int | None = None) -> Schreier
 def coset_map(word: BraidWord) -> SchreierWord:
     """The canonical representative of word's coset of the pure subgroup."""
     return schreier_representative(permutation_of(word), word.strands)
-
-
-def is_schreier_word(word: BraidWord) -> bool:
-    """Whether word is literally one of the canonical representatives."""
-    target = word.codes
-    for sw in schreier_system(word.strands):
-        if sw.braid_word.codes == target:
-            return True
-    return False

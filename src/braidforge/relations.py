@@ -36,8 +36,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .chains import _rev_inv
 from .fusing import FusingWord, fusing_alphabet, parse_fusing_word
-from .words import BraidWord, parse_braid_word
+from .words import INVERSE_TABLE, BraidWord, parse_braid_word
 
 __all__ = [
     "RelationInstance",
@@ -46,27 +47,13 @@ __all__ = [
     "MoveTable",
     "Presentation",
     "relation_table",
-    "FAMILY_NAMES",
     "standard_relation_instances",
     "core_presentation_instances",
     "elementary_string_relation_instances",
     "pure_relation_instances",
     "standard_moves",
     "fusing_moves",
-    "reverse_invert_codes",
 ]
-
-FAMILY_NAMES = {
-    1: "free inverses",
-    2: "virtual involution",
-    3: "braid relation",
-    4: "virtual braid relation",
-    5: "virtual conjugation",
-    6: "singular braid relation",
-    7: "twist commuting",
-    8: "distant commuting",
-}
-
 
 @dataclass(frozen=True)
 class RelationInstance:
@@ -241,28 +228,22 @@ class MoveTable:
 
     patterns: tuple[bytes, ...]
     replacements: tuple[bytes, ...]
-    insert_codes: bytes
     inverse_table: bytes
     allowed: frozenset[tuple[bytes, bytes]]
 
 
-def reverse_invert_codes(codes: bytes, inverse_table: bytes) -> bytes:
-    return bytes(inverse_table[c] for c in reversed(codes))
-
-
-def _build_move_table(pairs: set[tuple[bytes, bytes]], insert_codes: bytes,
+def _build_move_table(pairs: set[tuple[bytes, bytes]],
                       inverse_table: bytes) -> MoveTable:
     closed: set[tuple[bytes, bytes]] = set()
     for lhs, rhs in pairs:
         for a, b in ((lhs, rhs), (rhs, lhs)):
             closed.add((a, b))
-            closed.add((reverse_invert_codes(a, inverse_table),
-                        reverse_invert_codes(b, inverse_table)))
+            closed.add((_rev_inv(a, inverse_table),
+                        _rev_inv(b, inverse_table)))
     subst = sorted(p for p in closed if p[0])
     return MoveTable(
         patterns=tuple(lhs for lhs, _ in subst),
         replacements=tuple(rhs for _, rhs in subst),
-        insert_codes=insert_codes,
         inverse_table=inverse_table,
         allowed=frozenset(closed),
     )
@@ -270,17 +251,9 @@ def _build_move_table(pairs: set[tuple[bytes, bytes]], insert_codes: bytes,
 
 @functools.lru_cache(maxsize=None)
 def standard_moves(n: int) -> MoveTable:
-    from .words import INVERSE_TABLE, GeneratorLetter, Kind, encode_letter
-
     pairs = {(r.lhs.codes, r.rhs.codes)
              for r in standard_relation_instances(n)}
-    codes = []
-    for i in range(1, n):
-        for kind in (Kind.SIGMA, Kind.TAU):
-            codes.append(encode_letter(GeneratorLetter(kind, i, 1)))
-            codes.append(encode_letter(GeneratorLetter(kind, i, -1)))
-        codes.append(encode_letter(GeneratorLetter(Kind.V, i)))
-    return _build_move_table(pairs, bytes(codes), INVERSE_TABLE)
+    return _build_move_table(pairs, INVERSE_TABLE)
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,8 +261,7 @@ def fusing_moves(n: int) -> MoveTable:
     alph = fusing_alphabet(n)
     pairs = {(alph.encode(r.lhs), alph.encode(r.rhs))
              for r in pure_relation_instances(n)}
-    return _build_move_table(pairs, bytes(range(len(alph.letters))),
-                             alph.inverse_table)
+    return _build_move_table(pairs, alph.inverse_table)
 
 
 class Presentation(enum.Enum):

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .chains import (Chain, Step, _rev_inv, chain_concat, chain_invert,
-                     reduction_steps)
+from .chains import Builder, Chain, _rev_inv, chain_concat, chain_invert
 from .errors import CertificateError
 from .kernel import free_reduce_bytes, neighbors
 from .relations import MoveTable
@@ -84,34 +83,21 @@ def _edges(table: MoveTable, split: bool) -> _EdgeSet:
     return _EdgeSet(table, split)
 
 
-def _edge_steps(parent: bytes, pos: int, mi: int, edges: _EdgeSet,
-                inv: bytes) -> list[Step]:
-    """Primitive steps realizing one search edge on the parent word."""
+def _edge_steps(bld: Builder, pos: int, mi: int, edges: _EdgeSet) -> None:
+    """Run one search edge on the builder's word as primitive steps:
+    grow the owed part of the pattern, substitute, reduce."""
     info = edges.meta[mi]
-    steps: list[Step] = []
-    if info[0] == "subst":
-        _, a, b = info
-        at = pos
-    elif info[0] == "prefix":
-        _, a, b, cut = info
-        for t in range(len(a) - cut):
-            c = a[cut + t]
-            steps.append(Step(pos + cut + t, b"", bytes((c, inv[c]))))
-        at = pos
-    else:
-        _, a, b, cut = info
-        head = len(a) - cut
-        for t in range(head):
-            c = a[head - 1 - t]
-            steps.append(Step(pos + t, b"", bytes((inv[c], c))))
-        at = pos + head
-    word = parent
-    for step in steps:
-        word = word[:step.pos] + step.rhs + word[step.pos:]
-    steps.append(Step(at, a, b))
-    intermediate = word[:at] + b + word[at + len(a):]
-    steps.extend(reduction_steps(intermediate, inv))
-    return steps
+    kind, a, b = info[:3]
+    at = pos
+    if kind == "prefix":
+        tail = a[info[3]:]
+        bld.expand_span(pos + info[3], tail + _rev_inv(tail, bld.inv))
+    elif kind == "suffix":
+        head = a[:len(a) - info[3]]
+        bld.expand_span(pos, _rev_inv(head, bld.inv) + head)
+        at = pos + len(head)
+    bld.splice(at, a, b)
+    bld.reduce_span(0, len(bld.word))
 
 
 def _walk(parents: dict, word: bytes, edges: _EdgeSet, inv: bytes) -> Chain:
@@ -120,12 +106,12 @@ def _walk(parents: dict, word: bytes, edges: _EdgeSet, inv: bytes) -> Chain:
     cur = word
     while parents[cur] is not None:
         prev, pos, mi = parents[cur]
-        trail.append((prev, pos, mi))
+        trail.append((pos, mi))
         cur = prev
-    steps: list[Step] = []
-    for prev, pos, mi in reversed(trail):
-        steps.extend(_edge_steps(prev, pos, mi, edges, inv))
-    return Chain(cur, tuple(steps))
+    bld = Builder(cur, inv)
+    for pos, mi in reversed(trail):
+        _edge_steps(bld, pos, mi, edges)
+    return bld.chain()
 
 
 def bfs_chain(start: bytes, goal: bytes, table: MoveTable, *,
@@ -148,11 +134,11 @@ def bfs_chain(start: bytes, goal: bytes, table: MoveTable, *,
     g = free_reduce_bytes(goal, inv)
 
     def finish(mid: Chain) -> Chain:
-        steps = list(reduction_steps(start, inv))
-        steps.extend(mid.steps)
-        tail = Chain(goal, tuple(reduction_steps(goal, inv)))
-        steps.extend(chain_invert(tail).steps)
-        return Chain(start, tuple(steps))
+        bld = Builder(start, inv)
+        bld.reduce_span(0, len(start))
+        bld.embed(mid)
+        bld.expand_span(0, goal)
+        return bld.chain()
 
     if s == g:
         return finish(Chain(s, ()))

@@ -32,6 +32,7 @@ import enum
 import re
 from dataclasses import dataclass
 
+from .chains import _rev_inv
 from .errors import BraidSyntaxError, IndexRangeError
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "parse_braid_word",
     "parse_word",
     "format_braid_word",
-    "identity_word",
     "word_from_letters",
     "free_reduce",
     "invert_word",
@@ -217,10 +217,6 @@ def format_braid_word(word: BraidWord) -> str:
     return " ".join(str(letter) for letter in word)
 
 
-def identity_word(strands: int) -> BraidWord:
-    return BraidWord(strands, b"")
-
-
 def word_from_letters(strands: int, letters) -> BraidWord:
     return BraidWord(strands, bytes(encode_letter(l) for l in letters))
 
@@ -249,8 +245,7 @@ def free_reduce(word: BraidWord) -> BraidWord:
 
 def invert_word(word: BraidWord) -> BraidWord:
     """Reverse the word and invert each letter."""
-    return BraidWord(word.strands,
-                     bytes(INVERSE_TABLE[c] for c in reversed(word.codes)))
+    return BraidWord(word.strands, _rev_inv(word.codes, INVERSE_TABLE))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidforge import CertificateError, Chain, Step, validate_chain
-from braidforge.chains import (apply_step, chain_concat, chain_end,
-                               chain_invert, chain_mirror, erase_loops,
-                               open_chain, reduction_steps, replay,
-                               shift_steps)
+from braidforge.chains import (Builder, _rev_inv, apply_step, chain_concat,
+                               chain_end, chain_invert, chain_mirror,
+                               erase_loops, reduction_steps)
 from braidforge.kernel import free_reduce_bytes
 from braidforge.relations import standard_moves
 from braidforge.words import parse_braid_word
@@ -94,14 +93,6 @@ def test_chain_mirror_conjugates_by_reverse_invert():
     validate_chain(mirrored, TABLE)
 
 
-def test_shift_steps_embeds_into_context():
-    lhs, rhs = braid_move()
-    inner = Chain(lhs, (Step(0, lhs, rhs),))
-    outer_word = codes("t2") + lhs
-    shifted = shift_steps(inner.steps, 1)
-    assert replay(outer_word, shifted) == codes("t2") + rhs
-
-
 def test_reduction_steps_replay_to_free_reduction():
     word = codes("s1 v2 v2 S1 t1")
     steps = reduction_steps(word, INV)
@@ -110,22 +101,45 @@ def test_reduction_steps_replay_to_free_reduction():
     assert chain_end(chain) == codes("t1")
 
 
-def test_open_chain_turns_closed_witness_into_a_to_b():
+def test_builder_embeds_a_chain_at_an_offset():
     lhs, rhs = braid_move()
-    closed_word = lhs + codes("S2 S1 S2")
-    closed = Chain(closed_word,
-                   (Step(0, lhs, rhs),) + reduction_steps(rhs + codes("S2 S1 S2"), INV))
-    assert chain_end(closed) == b""
-    opened = open_chain(lhs, rhs, closed, INV)
-    assert opened.start == lhs
-    assert chain_end(opened) == rhs
-    validate_chain(opened, TABLE)
+    bld = Builder(codes("t2") + lhs + codes("v1"), INV)
+    bld.embed(Chain(lhs, (Step(0, lhs, rhs),)), 1)
+    assert bld.word == codes("t2") + rhs + codes("v1")
+    assert bld.chain() == Chain(codes("t2") + lhs + codes("v1"),
+                                (Step(1, lhs, rhs),))
 
 
-def test_open_chain_rejects_wrong_endpoints():
+def test_builder_reduce_then_expand_returns_to_the_word():
+    word = codes("t1 s1 v2 v2 S1 s2")
+    span = word[1:5]
+    bld = Builder(word, INV)
+    bld.reduce_span(1, len(span))
+    assert bld.word == codes("t1 s2")
+    bld.expand_span(1, span)
+    assert bld.word == word
+    chain = bld.chain()
+    assert chain.start == word
+    assert validate_chain(chain, TABLE) == word
+
+
+def test_builder_expands_pairs_from_the_outside_in():
+    inner = codes("s1 v2 T1")
+    bld = Builder(codes("t2 t2"), INV)
+    bld.expand_span(1, inner + _rev_inv(inner, INV))
+    assert bld.steps == [Step(1 + t, b"", bytes((c, INV[c])))
+                         for t, c in enumerate(inner)]
+    assert bld.word == codes("t2") + inner + _rev_inv(inner, INV) + codes("t2")
+
+
+def test_builder_rejects_a_step_that_does_not_fit():
     lhs, rhs = braid_move()
+    bld = Builder(codes("t1") + lhs, INV)
     with pytest.raises(CertificateError):
-        open_chain(lhs, rhs, Chain(lhs, ()), INV)
+        bld.splice(0, lhs, rhs)
+    with pytest.raises(CertificateError):
+        bld.embed(Chain(lhs, (Step(0, lhs, rhs),)), 2)
+    assert bld.word == codes("t1") + lhs and bld.steps == []
 
 
 def test_erase_loops_cuts_a_substitution_round_trip():
@@ -209,3 +223,23 @@ def test_erase_loops_keeps_the_ends_and_only_shortens(chain):
     for step in erased.steps:
         visited.append(apply_step(visited[-1], step))
     assert len(set(visited)) == len(visited)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), max_size=6),
+       st.lists(st.sampled_from(LETTERS), max_size=8),
+       st.lists(st.sampled_from(LETTERS), max_size=6))
+def test_builder_round_trips_a_span_in_context(left, middle, right):
+    """Reducing a span in context and growing it back gives a valid chain
+    back to the start, whose halves are each other's inverse."""
+    left, middle, right = (codes(" ".join(p)) for p in (left, middle, right))
+    word = left + middle + right
+    bld = Builder(word, INV)
+    bld.reduce_span(len(left), len(middle))
+    assert bld.word == left + free_reduce_bytes(middle, INV) + right
+    half = len(bld.steps)
+    bld.expand_span(len(left), middle)
+    chain = bld.chain()
+    assert validate_chain(chain, TABLE) == word
+    first = Chain(word, chain.steps[:half])
+    assert chain_invert(first).steps == chain.steps[half:]

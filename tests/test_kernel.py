@@ -5,6 +5,8 @@ fully re-reduces every occurrence's splice, in pattern-major order, so
 any seam it misses shows up as a difference.
 """
 
+import importlib.util
+import os
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,21 @@ from hypothesis import given, settings, strategies as st
 from braidforge import kernel, search
 from braidforge.relations import fusing_moves, standard_moves
 from braidforge.search import _edges
+from braidforge.words import parse_braid_word
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "tracer.py")
+
+
+def letter_codes(n):
+    """The code of every crossing generator and its inverse on n strands."""
+    return parse_braid_word(" ".join(f"{k}{i}" for i in range(1, n)
+                                     for k in "sStTv"), n).codes
 
 
 def random_cases(seed=7, count=200):
     table = standard_moves(3)
-    alphabet = sorted(set(b"".join(table.patterns)) | set(table.insert_codes))
+    alphabet = sorted(set(b"".join(table.patterns)) | set(letter_codes(3)))
     rng = random.Random(seed)
     for _ in range(count):
         yield bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
@@ -93,13 +105,25 @@ def test_kernel_keeps_the_positional_six_argument_call():
                                           len(w) + 2)
 
 
+def test_benchmark_binding_sites_all_resolve():
+    """The benchmark traces the library by rebinding the module-level
+    names in perfbench/tracer.py's SITES; a site that no longer resolves
+    is only reported on stderr and its metrics silently drop out."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, span in tracer.SITES:
+        owner, leaf = tracer.Tracer._resolve(module_name, attr)
+        assert owner is not None, f"{module_name}.{attr} ({span}) is gone"
+
+
 def test_insertions_into_a_reduced_word_add_nothing():
     table = standard_moves(3)
     inv = table.inverse_table
     for w in random_cases(seed=14, count=40):
         w = kernel.free_reduce_bytes(w, inv)
         args = (w, table.patterns, table.replacements, inv, len(w) + 2)
-        assert (kernel.neighbors(*args, table.insert_codes)
+        assert (kernel.neighbors(*args, letter_codes(3))
                 == kernel.neighbors(*args, b""))
 
 

@@ -116,7 +116,6 @@ def test_equal_rebuilt_table_shares_its_edge_set():
 def test_edge_set_rejects_an_unreduced_replacement():
     inv = TABLE.inverse_table
     s1, s1_inv = codes("s1"), codes("S1")
-    bad = MoveTable((s1,), (codes("s2") + s1 + s1_inv,), b"", inv,
-                    frozenset())
+    bad = MoveTable((s1,), (codes("s2") + s1 + s1_inv,), inv, frozenset())
     with pytest.raises(CertificateError, match="not freely reduced"):
         _EdgeSet(bad, False)
