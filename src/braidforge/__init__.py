@@ -2,7 +2,7 @@
 
 The pipeline, where w is a word in the crossing generators:
 
-    parse_word        text -> BraidWord over sigma/tau/v letters
+    parse_braid_word  text -> BraidWord over sigma/tau/v letters
     permutation_of    BraidWord -> strand permutation
     coset_map         BraidWord -> canonical coset representative
     to_pure_times_coset   split w = (pure part) * (representative)
@@ -18,8 +18,8 @@ against the defining relations alone; validate_chain checks one.
 from .chains import Chain, Step, validate_chain
 from .decomposition import (ConjugatedLetter, Layer, LayeredNormalForm,
                             conjugate_letter, flatten, format_normal_form,
-                            level_of, normal_form, pair_counts,
-                            parse_normal_form, recompose)
+                            normal_form, pair_counts, parse_normal_form,
+                            recompose)
 from .errors import (BraidforgeError, BraidSyntaxError, CertificateError,
                      DomainError, IndexRangeError, NotPureError,
                      ResourceBoundError)
@@ -28,20 +28,18 @@ from .fusing import (Family, FusingLetter, FusingWord, PureDecomposition,
                      format_fusing_word, fusing_free_reduce, gamma,
                      invert_fusing, mu, parse_fusing_word,
                      to_pure_times_coset)
-from .oracle import (OracleVerdict, RelationReport, Verdict, decide,
-                     relation_neighbors, verify_relation)
+from .oracle import OracleVerdict, Verdict, decide
 from .perms import (Permutation, SchreierWord, coset_map,
                     format_permutation, identity_permutation,
                     parse_permutation, permutation_of,
                     schreier_representative, schreier_system, transposition)
-from .relations import (ElementaryStringRelation, MoveTable, Presentation,
-                        PureRelationInstance, RelationInstance,
-                        relation_table)
+from .relations import (ElementaryStringRelation, MoveTable,
+                        PureRelationInstance, RelationInstance)
 from .schreier import (DerivedRelation, derive_pure_relations, rewrite_R,
                        schreier_generator)
 from .words import (BraidWord, ExponentInvariants, GeneratorLetter, Kind,
                     concat_words, exponent_invariants, format_braid_word,
-                    free_reduce, invert_word, parse_braid_word, parse_word)
+                    free_reduce, invert_word, parse_braid_word)
 
 __version__ = "0.1.0"
 
@@ -49,7 +47,7 @@ __all__ = [
     "__version__",
     # words
     "BraidWord", "GeneratorLetter", "Kind", "ExponentInvariants",
-    "parse_word", "parse_braid_word", "format_braid_word", "free_reduce",
+    "parse_braid_word", "format_braid_word", "free_reduce",
     "invert_word", "concat_words", "exponent_invariants",
     # permutations and cosets
     "Permutation", "SchreierWord", "permutation_of", "identity_permutation",
@@ -61,18 +59,17 @@ __all__ = [
     "expand_letter", "expand_fusing", "act_permutation", "invert_fusing",
     "fusing_free_reduce", "to_pure_times_coset",
     # relation catalog
-    "Presentation", "RelationInstance", "PureRelationInstance",
-    "ElementaryStringRelation", "MoveTable", "relation_table",
+    "RelationInstance", "PureRelationInstance", "ElementaryStringRelation",
+    "MoveTable",
     # subgroup rewriting
     "DerivedRelation", "schreier_generator", "rewrite_R",
     "derive_pure_relations",
     # layered decomposition
-    "ConjugatedLetter", "Layer", "LayeredNormalForm", "level_of",
+    "ConjugatedLetter", "Layer", "LayeredNormalForm",
     "conjugate_letter", "normal_form", "recompose", "flatten",
     "pair_counts", "format_normal_form", "parse_normal_form",
     # equality oracle
-    "Verdict", "OracleVerdict", "RelationReport", "decide",
-    "verify_relation", "relation_neighbors",
+    "Verdict", "OracleVerdict", "decide",
     # certificates
     "Chain", "Step", "validate_chain",
     # errors

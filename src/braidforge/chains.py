@@ -54,6 +54,9 @@ class Chain:
 
 
 def apply_step(word: bytes, step: Step) -> bytes:
+    if step.pos < 0 or step.pos + len(step.lhs) > len(word):
+        raise CertificateError(
+            f"step at {step.pos} out of range in {word!r}")
     if word[step.pos:step.pos + len(step.lhs)] != step.lhs:
         raise CertificateError(
             f"step expects {step.lhs!r} at {step.pos}, word is {word!r}")
@@ -82,8 +85,6 @@ def validate_chain(chain: Chain, table) -> bytes:
     Returns the end word; raises CertificateError on any bad step."""
     word = chain.start
     for k, step in enumerate(chain.steps):
-        if step.pos < 0 or step.pos + len(step.lhs) > len(word):
-            raise CertificateError(f"step {k} out of range in {word!r}")
         if not _step_allowed(step, table.allowed, table.inverse_table):
             raise CertificateError(
                 f"step {k} ({step.lhs!r} -> {step.rhs!r}) is not a move")

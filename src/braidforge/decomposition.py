@@ -22,7 +22,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 
-from .chains import Builder, _rev_inv, chain_mirror
+from .chains import Builder, Chain, _rev_inv, chain_mirror
 from .errors import (BraidSyntaxError, CertificateError, DomainError,
                      ResourceBoundError)
 from .fusing import (Family, FusingLetter, FusingWord, gamma, mu,
@@ -35,7 +35,6 @@ __all__ = [
     "ConjugatedLetter",
     "Layer",
     "LayeredNormalForm",
-    "level_of",
     "conjugate_letter",
     "normal_form",
     "recompose",
@@ -73,11 +72,6 @@ class _Budget:
             raise ResourceBoundError(
                 f"normal form computation exceeded its step budget "
                 f"({self.limit}); pass a larger budget= to continue")
-
-
-def level_of(letter: FusingLetter) -> int:
-    """Level of a fusing generator: max strand of its pair, minus one."""
-    return letter.level
 
 
 @dataclass(frozen=True)
@@ -522,14 +516,17 @@ def normal_form(word, *, budget: int | None = None) -> LayeredNormalForm:
     return LayeredNormalForm(pure.strands, layers, coset)
 
 
-def _traced_normal_form(word, macros, *, budget: int | None = None):
-    """normal_form plus the fusing-level chain that justifies it.
+def _traced_normal_form(pure: FusingWord, macros, *,
+                        budget: int | None = None) -> Chain:
+    """The fusing-level chain from a pure part to its normal form.
 
-    Returns (nf, chain) where chain rewrites the unreduced pure part of
-    `word` into flatten(nf), step by step over the pure presentation's
-    moves.  Internal: the equivalence oracle uses it to assemble
-    witnesses.  The chain's sub-derivations come from `macros`, which
-    provides, for the word's strand count:
+    Takes a pure part, unreduced as a sweep leaves it, and returns a
+    chain that rewrites its codes, step by step over the pure
+    presentation's moves, into the codes of the flattened layered
+    normal form (flatten(normal_form(pure))).  Internal: the
+    equivalence oracle uses it to assemble witnesses.  budget bounds
+    the rewriting steps as in normal_form.  The chain's sub-derivations
+    come from `macros`, which provides, for the word's strand count:
 
     * alph: the fusing alphabet, whose codes the chain rewrites;
     * enc(letters): the codes of a sequence of fusing letters;
@@ -539,18 +536,12 @@ def _traced_normal_form(word, macros, *, budget: int | None = None):
 
     certs.CertStore is the provider the oracle passes.
     """
-    from .fusing import _sweep_raw
-    if isinstance(word, BraidWord):
-        pure, coset = _sweep_raw(word)
-    else:
-        pure, coset = _coerce_pure(word)
     b = _Budget(_default_budget() if budget is None else budget)
     trace = Builder(macros.enc(pure.letters), macros.alph.inverse_table)
     layers = _decompose_worker(pure.letters, pure.strands, b, macros, trace)
-    nf = LayeredNormalForm(pure.strands, layers, coset)
     if trace.word != macros.enc(_flatten_layers(layers)):
         raise CertificateError("trace does not reach the flattened layers")
-    return nf, trace.chain()
+    return trace.chain()
 
 
 def flatten(nf: LayeredNormalForm) -> FusingWord:

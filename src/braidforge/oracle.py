@@ -9,10 +9,13 @@ it is returned.  When nothing decides within the given bounds the
 verdict is Unknown and says what was tried.
 
 The middle rungs lean on the fusing picture: both words are swept into
-pure-times-coset form, the pure parts are compared freely, then through
-their layered normal-form traces, then by bounded search over the pure
-presentation's moves; every fusing-level success is lifted back to a
-crossing-level chain through the certificate store.
+pure-times-coset form, and every fusing-level rung is one meet of the
+two pure parts.  Each side is rewritten (not at all, along its layered
+normal-form trace, or freely reduced and then bridged by bounded search
+over the pure presentation's moves) until both reach a common fusing
+word; the chain that closes pure_u * pure_v^-1 is lifted back to the
+crossing level through the certificate store and framed by the two
+certified sweeps.
 
 The crossing-level search that runs before the normal-form rungs is a
 small probe (SMALL_SEARCH_NODES stored states): it catches short
@@ -29,25 +32,22 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .certs import CertStore, get_store
+from .certs import get_store
 from .chains import (Builder, Chain, _rev_inv, chain_end, chain_mirror,
                      erase_loops, reduction_steps, validate_chain)
 from .decomposition import _traced_normal_form, pair_counts
 from .errors import CertificateError, DomainError, ResourceBoundError
-from .fusing import FusingWord, expand_fusing, fusing_free_reduce
-from .kernel import free_reduce_bytes, neighbors
+from .fusing import FusingWord, expand_fusing
+from .kernel import free_reduce_bytes
 from .perms import permutation_of
-from .search import _edges, tiered_chain
+from .search import tiered_chain
 from .words import (BraidWord, exponent_invariants, format_braid_word,
                     free_reduce)
 
 __all__ = [
     "Verdict",
     "OracleVerdict",
-    "RelationReport",
     "decide",
-    "verify_relation",
-    "relation_neighbors",
 ]
 
 SMALL_SEARCH_NODES = 1_000
@@ -120,102 +120,6 @@ def _coerce_braid(word) -> BraidWord:
     raise DomainError(f"cannot decide equality of {type(word).__name__}")
 
 
-def _searched_witness(u: BraidWord, v: BraidWord, found: Chain,
-                      inv: bytes) -> Chain:
-    """Close a searched chain red(u) => red(v) into one on u * v^-1.
-
-    The search works on the freely reduced words, so the witness first
-    reduces u, then runs the found chain, then un-reduces into v before
-    the standard closing cancellation.
-    """
-    bld = Builder(u.codes + _rev_inv(v.codes, inv), inv)
-    bld.reduce_span(0, len(u.codes))
-    bld.embed(found)
-    bld.expand_span(0, v.codes)
-    bld.reduce_span(0, len(bld.word))
-    return erase_loops(bld.chain())
-
-
-class _Decider:
-    """One decide() run: shared sweeps, traces, and bounds."""
-
-    def __init__(self, u: BraidWord, v: BraidWord, max_len: int,
-                 max_nodes: int, budget: int | None):
-        self.u = u
-        self.v = v
-        self.st: CertStore = get_store(u.strands)
-        self.max_len = max_len
-        self.max_nodes = max_nodes
-        self.budget = budget
-        self.sweep_u = None
-        self.sweep_v = None
-        self.trace_u = None
-        self.trace_v = None
-
-    # -- shared ingredients ------------------------------------------
-
-    def sweeps(self):
-        if self.sweep_u is None:
-            self.sweep_u = self.st.certified_sweep(self.u)
-            self.sweep_v = self.st.certified_sweep(self.v)
-        return self.sweep_u, self.sweep_v
-
-    def traces(self):
-        """Layered normal-form traces of both pure parts, or None when
-        the rewriting budget runs out (the ladder just moves on)."""
-        if self.trace_u is None:
-            try:
-                self.trace_u = _traced_normal_form(self.u, self.st,
-                                                   budget=self.budget)
-                self.trace_v = _traced_normal_form(self.v, self.st,
-                                                   budget=self.budget)
-            except ResourceBoundError:
-                self.trace_u = self.trace_v = ()
-        return (None, None) if self.trace_u == () else (self.trace_u,
-                                                        self.trace_v)
-
-    # -- witness assembly --------------------------------------------
-
-    def _finish(self, fusing_closed: Chain, reason: str,
-                detail: dict) -> OracleVerdict:
-        """Lift a closed fusing chain into the full crossing witness."""
-        st = self.st
-        inv = st.std.inverse_table
-        (chain_u, pure_u, coset_u) = self.sweep_u
-        (chain_v, pure_v, coset_v) = self.sweep_v
-        bld = Builder(self.u.codes + _rev_inv(self.v.codes, inv), inv)
-        bld.embed(chain_u)
-        bld.embed(chain_mirror(chain_v, inv),
-                  len(bld.word) - len(self.v.codes))
-        rep = coset_u.braid_word.codes
-        prefix = len(st.rho_word(pure_u.letters))
-        bld.reduce_span(prefix, 2 * len(rep))
-        bld.embed(st.lift_fusing_chain(fusing_closed))
-        witness = erase_loops(bld.chain())
-        end = validate_chain(witness, st.std)
-        if end != b"":
-            raise CertificateError("assembled witness does not close")
-        return OracleVerdict(Verdict.EQUAL, reason, self.u.strands,
-                             witness, detail)
-
-    def _fusing_closed_word(self) -> bytes:
-        (_, pure_u, _) = self.sweep_u
-        (_, pure_v, _) = self.sweep_v
-        st = self.st
-        return (st.enc(pure_u.letters)
-                + _rev_inv(st.enc(pure_v.letters), st.fus.inverse_table))
-
-    def _fusing_builder(self) -> Builder:
-        return Builder(self._fusing_closed_word(), self.st.fus.inverse_table)
-
-    def _close_and_finish(self, fb: Builder, reason: str,
-                          detail: dict) -> OracleVerdict:
-        fb.reduce_span(0, len(fb.word))
-        if fb.word != b"":
-            raise CertificateError("fusing bridge does not close")
-        return self._finish(fb.chain(), reason, detail)
-
-
 def decide(u, v, *, max_len: int | None = None,
            max_nodes: int | None = None,
            budget: int | None = None) -> OracleVerdict:
@@ -233,6 +137,7 @@ def decide(u, v, *, max_len: int | None = None,
     n = u.strands
     st = get_store(n)
     inv = st.std.inverse_table
+    finv = st.fus.inverse_table
 
     # Invariants first: these are the only sources of Unequal.
     if permutation_of(u) != permutation_of(v):
@@ -257,144 +162,113 @@ def decide(u, v, *, max_len: int | None = None,
         return OracleVerdict(Verdict.EQUAL, "free reduction closes", n,
                              witness)
 
-    dec = _Decider(u, v, max_len, max_nodes, budget)
-    dec.sweeps()
-    (_, pure_u, coset_u) = dec.sweep_u
-    (_, pure_v, coset_v) = dec.sweep_v
-    red_u = fusing_free_reduce(pure_u)
-    red_v = fusing_free_reduce(pure_v)
+    def verdict(bld: Builder, reason: str, detail) -> OracleVerdict:
+        witness = erase_loops(bld.chain())
+        if validate_chain(witness, st.std) != b"":
+            raise CertificateError("assembled witness does not close")
+        return OracleVerdict(Verdict.EQUAL, reason, n, witness,
+                             detail or {})
+
+    def searched(nodes: int, reason: str) -> OracleVerdict | None:
+        """Search red(u) => red(v) at the crossing level and close the
+        chain found into one on u * v^-1."""
+        found = tiered_chain(ru.codes, rv.codes, st.std,
+                             max_len=max_len, max_nodes=nodes)
+        if found is None:
+            return None
+        bld = Builder(closed, inv)
+        bld.reduce_span(0, len(u.codes))
+        bld.embed(found)
+        bld.reduce_span(0, len(bld.word))
+        return verdict(bld, reason, {"max_nodes": nodes})
+
+    (sweep_u, pure_u, coset_u) = st.certified_sweep(u)
+    (sweep_v, pure_v, _) = st.certified_sweep(v)
+    enc_u = st.enc(pure_u.letters)
+    enc_v = st.enc(pure_v.letters)
+    red_u = free_reduce_bytes(enc_u, finv)
+    red_v = free_reduce_bytes(enc_v, finv)
+
+    def meet(reason: str, left: Chain | None = None,
+             right: Chain | None = None, mid: Chain | None = None,
+             detail: dict | None = None) -> OracleVerdict:
+        """Close the pure parts against each other and lift the result.
+
+        left rewrites enc_u to some X and right rewrites enc_v to some
+        Y (each defaults to no steps); mid, when given, runs from X to
+        Y.  The fusing chain on enc_u * enc_v^-1 runs left, then right
+        mirrored, then mid, and cancels what is left.  Its lift sits
+        between the two certified sweeps, whose coset words cancel in
+        the middle.
+        """
+        fb = Builder(enc_u + _rev_inv(enc_v, finv), finv)
+        if left is not None:
+            fb.embed(left)
+        if right is not None:
+            fb.embed(chain_mirror(right, finv), len(fb.word) - len(enc_v))
+        if mid is not None:
+            fb.embed(mid)
+        fb.reduce_span(0, len(fb.word))
+        if fb.word != b"":
+            raise CertificateError("fusing bridge does not close")
+        bld = Builder(closed, inv)
+        bld.embed(sweep_u)
+        bld.embed(chain_mirror(sweep_v, inv), len(bld.word) - len(v.codes))
+        bld.reduce_span(len(st.rho_word(pure_u.letters)),
+                        2 * len(coset_u.braid_word.codes))
+        bld.embed(st.lift_fusing_chain(fb.chain()))
+        return verdict(bld, reason, detail)
 
     # Pure parts freely equal: the sweeps already prove it.
-    if red_u.letters == red_v.letters:
-        fb = dec._fusing_builder()
-        return dec._close_and_finish(fb, "pure parts freely equal", {})
+    if red_u == red_v:
+        return meet("pure parts freely equal")
 
     # Small direct search at the crossing level.
-    small_nodes = min(SMALL_SEARCH_NODES, max_nodes)
-    found = tiered_chain(ru.codes, rv.codes, st.std,
-                         max_len=max_len, max_nodes=small_nodes)
+    found = searched(min(SMALL_SEARCH_NODES, max_nodes),
+                     "found by direct search")
     if found is not None:
-        witness = _searched_witness(u, v, found, inv)
-        validate_chain(witness, st.std)
-        return OracleVerdict(Verdict.EQUAL, "found by direct search", n,
-                             witness, {"max_nodes": small_nodes})
+        return found
 
     # Normal-form traces: compare the two pure parts through their
     # layered rewrites, bridging sweep against trace in both directions
     # (a word rebuilt from a normal form sweeps straight back to the
     # flattened trace of the other side, so these bridges catch the
-    # rebuild-reduce round trips exactly).
-    trace_u, trace_v = dec.traces()
-    if trace_u is not None:
-        (nf_u, chain_fu) = trace_u
-        (nf_v, chain_fv) = trace_v
-        flat_u = st.alph.decode(
-            free_reduce_bytes(chain_end(chain_fu), st.fus.inverse_table))
-        flat_v = st.alph.decode(
-            free_reduce_bytes(chain_end(chain_fv), st.fus.inverse_table))
-        finv = st.fus.inverse_table
-        if red_u.letters == flat_v.letters:
-            fb = dec._fusing_builder()
-            fb.embed(chain_mirror(chain_fv, finv),
-                     len(st.enc(pure_u.letters)))
-            return dec._close_and_finish(
-                fb, "sweep meets the other side's normal form", {})
-        if flat_u.letters == red_v.letters:
-            fb = dec._fusing_builder()
-            fb.embed(chain_fu)
-            return dec._close_and_finish(
-                fb, "normal form meets the other side's sweep", {})
-        if flat_u.letters == flat_v.letters:
-            fb = dec._fusing_builder()
-            fb.embed(chain_fu)
-            fb.embed(chain_mirror(chain_fv, finv),
-                     len(st.enc(flat_u.letters)))
-            return dec._close_and_finish(fb, "normal forms agree", {})
+    # rebuild-reduce round trips exactly).  When the rewriting budget
+    # runs out the ladder just moves on.
+    try:
+        trace_u = _traced_normal_form(pure_u, st, budget=budget)
+        trace_v = _traced_normal_form(pure_v, st, budget=budget)
+    except ResourceBoundError:
+        pass
+    else:
+        nf_u = free_reduce_bytes(chain_end(trace_u), finv)
+        nf_v = free_reduce_bytes(chain_end(trace_v), finv)
+        if red_u == nf_v:
+            return meet("sweep meets the other side's normal form",
+                        right=trace_v)
+        if nf_u == red_v:
+            return meet("normal form meets the other side's sweep",
+                        left=trace_u)
+        if nf_u == nf_v:
+            return meet("normal forms agree", trace_u, trace_v)
 
     # Bounded search over the pure presentation's moves.
     fus_nodes = min(FUSING_SEARCH_NODES, max_nodes)
-    fus_len = max(len(red_u.letters), len(red_v.letters)) + 4
-    mid = tiered_chain(st.enc(red_u.letters), st.enc(red_v.letters),
-                       st.fus, max_len=fus_len, max_nodes=fus_nodes)
+    mid = tiered_chain(red_u, red_v, st.fus,
+                       max_len=max(len(red_u), len(red_v)) + 4,
+                       max_nodes=fus_nodes)
     if mid is not None:
-        fb = dec._fusing_builder()
-        fb.reduce_span(0, len(st.enc(pure_u.letters)))
-        fb.reduce_span(len(st.enc(red_u.letters)),
-                       len(st.enc(pure_v.letters)))
-        fb.embed(mid)
-        return dec._close_and_finish(
-            fb, "fusing search met", {"max_nodes": fus_nodes})
+        return meet("fusing search met",
+                    Chain(enc_u, reduction_steps(enc_u, finv)),
+                    Chain(enc_v, reduction_steps(enc_v, finv)), mid,
+                    {"max_nodes": fus_nodes})
 
     # Last resort: full search at the crossing level.
-    found = tiered_chain(ru.codes, rv.codes, st.std,
-                         max_len=max_len, max_nodes=max_nodes)
+    found = searched(max_nodes, "full search met")
     if found is not None:
-        witness = _searched_witness(u, v, found, inv)
-        validate_chain(witness, st.std)
-        return OracleVerdict(Verdict.EQUAL, "full search met", n,
-                             witness, {"max_nodes": max_nodes})
+        return found
 
     return OracleVerdict(
         Verdict.UNKNOWN,
         "all invariants agree but no chain found within bounds", n,
         None, {"max_len": max_len, "max_nodes": max_nodes})
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    """verify_relation's answer: the fast invariant checks plus the
-    oracle's full verdict."""
-
-    pi_equal: bool
-    invariants_equal: bool
-    verdict: OracleVerdict
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict.equal
-
-    def to_json(self, include_witness: bool = False) -> dict:
-        return {
-            "schema": 1,
-            "pi_equal": self.pi_equal,
-            "invariants_equal": self.invariants_equal,
-            "holds": self.holds,
-            "verdict": self.verdict.to_json(include_witness),
-        }
-
-
-def verify_relation(lhs, rhs, *, max_len: int | None = None,
-                    max_nodes: int | None = None,
-                    budget: int | None = None) -> RelationReport:
-    """Check a claimed relation: invariants first, then the oracle."""
-    u = _coerce_braid(lhs)
-    v = _coerce_braid(rhs)
-    if u.strands != v.strands:
-        raise DomainError(
-            f"words act on {u.strands} and {v.strands} strands")
-    pi_equal = permutation_of(u) == permutation_of(v)
-    invariants_equal = (exponent_invariants(u) == exponent_invariants(v)
-                        and pair_counts(u) == pair_counts(v))
-    verdict = decide(u, v, max_len=max_len, max_nodes=max_nodes,
-                     budget=budget)
-    return RelationReport(pi_equal, invariants_equal, verdict)
-
-
-def relation_neighbors(word: BraidWord,
-                       max_len: int | None = None) -> list[BraidWord]:
-    """Distinct freely reduced words one relation application away.
-
-    Includes split applications (a relation applied with part of its
-    pattern materialized on the spot), so words may grow; max_len
-    bounds that growth and defaults to the word's length plus 2.
-    """
-    st = get_store(word.strands)
-    if max_len is None:
-        max_len = len(word.codes) + 2
-    edges = _edges(st.std, True)
-    reduced = free_reduce_bytes(word.codes, st.std.inverse_table)
-    out = [BraidWord(word.strands, nw)
-           for nw, _, _ in neighbors(reduced, edges.patterns,
-                                     edges.replacements,
-                                     st.std.inverse_table, max_len, b"")]
-    return out

@@ -31,7 +31,6 @@ the searches and the chain validator share.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ __all__ = [
     "PureRelationInstance",
     "ElementaryStringRelation",
     "MoveTable",
-    "Presentation",
-    "relation_table",
     "standard_relation_instances",
     "core_presentation_instances",
     "elementary_string_relation_instances",
@@ -262,27 +259,3 @@ def fusing_moves(n: int) -> MoveTable:
     pairs = {(alph.encode(r.lhs), alph.encode(r.rhs))
              for r in pure_relation_instances(n)}
     return _build_move_table(pairs, alph.inverse_table)
-
-
-class Presentation(enum.Enum):
-    """Which of the three relation tables to enumerate."""
-
-    STANDARD = "standard"
-    FUSING = "fusing"
-    PURE = "pure"
-
-
-def relation_table(presentation: Presentation, n: int):
-    """All instantiated relation pairs of one presentation at n strands.
-
-    Standard and fusing pairs are crossing words; pure pairs are fusing
-    words.  Every returned pair is a group identity, so feeding each
-    through the equivalence oracle is a self-check the test suite runs.
-    """
-    presentation = Presentation(presentation)
-    if presentation is Presentation.STANDARD:
-        return tuple((r.lhs, r.rhs) for r in standard_relation_instances(n))
-    if presentation is Presentation.FUSING:
-        return tuple((r.lhs, r.rhs)
-                     for r in elementary_string_relation_instances(n))
-    return tuple((r.lhs, r.rhs) for r in pure_relation_instances(n))

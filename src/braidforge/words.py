@@ -41,7 +41,6 @@ __all__ = [
     "BraidWord",
     "ExponentInvariants",
     "parse_braid_word",
-    "parse_word",
     "format_braid_word",
     "word_from_letters",
     "free_reduce",
@@ -207,10 +206,6 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         exponent = -1 if (ch.isupper() and kind is not Kind.V) else 1
         codes.append(encode_letter(GeneratorLetter(kind, index, exponent)))
     return BraidWord(strands, bytes(codes))
-
-
-#: Short alias; most call sites only ever parse one word grammar.
-parse_word = parse_braid_word
 
 
 def format_braid_word(word: BraidWord) -> str:

@@ -6,7 +6,7 @@ from braidforge import (CertificateError, parse_braid_word, parse_fusing_word,
                         to_pure_times_coset, validate_chain)
 from braidforge.certs import get_store
 from braidforge.decomposition import (ConjugatedLetter, _twist_rewrite,
-                                      conjugate_letter, level_of)
+                                      conjugate_letter)
 from braidforge.fusing import Family, FusingLetter
 from braidforge.search import tiered_chain
 
@@ -132,7 +132,7 @@ def test_conjugation_macros_certify_and_match_the_rule_table():
         for exp in (1, -1):
             cl = ConjugatedLetter(base, exp, ())
             for y in all_letters():
-                if level_of(y) >= cl.level:
+                if y.level >= cl.level:
                     continue
                 result = conjugate_letter(cl, y)
                 goal = STORE.enc(

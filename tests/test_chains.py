@@ -142,6 +142,23 @@ def test_builder_rejects_a_step_that_does_not_fit():
     assert bld.word == codes("t1") + lhs and bld.steps == []
 
 
+def test_an_insertion_out_of_range_is_refused_where_it_is_made():
+    pair = codes("s2 S2")
+    word = codes("t1 v1")
+    bld = Builder(word, INV)
+    with pytest.raises(CertificateError, match="out of range"):
+        bld.splice(7, b"", pair)
+    assert bld.word == word and bld.steps == []
+    with pytest.raises(CertificateError, match="out of range"):
+        apply_step(word, Step(-1, b"", pair))
+    for pos in (7, -1):
+        with pytest.raises(CertificateError, match="out of range"):
+            chain_end(Chain(word, (Step(pos, b"", pair),)))
+    # The ends themselves are in range.
+    assert apply_step(word, Step(2, b"", pair)) == word + pair
+    assert apply_step(word, Step(0, b"", pair)) == pair + word
+
+
 def test_erase_loops_cuts_a_substitution_round_trip():
     lhs, rhs = braid_move()
     word = codes("t1") + lhs

@@ -7,19 +7,21 @@ from braidforge import (DomainError, ResourceBoundError, Verdict, decide,
                         flatten, format_normal_form, normal_form,
                         parse_braid_word, parse_fusing_word,
                         parse_normal_form, recompose, to_pure_times_coset)
+from braidforge.certs import get_store
+from braidforge.chains import validate_chain
 from braidforge.decomposition import (ConjugatedLetter, Layer,
                                       LayeredNormalForm, conjugate_letter,
-                                      level_of, pair_counts)
+                                      _traced_normal_form, pair_counts)
 from braidforge.errors import BraidSyntaxError
-from braidforge.fusing import Family, FusingLetter
+from braidforge.fusing import Family, FusingLetter, _sweep_raw
 from braidforge.relations import pure_relation_instances
 
 
 def test_levels_are_one_below_the_larger_strand():
-    assert level_of(FusingLetter(Family.MU, 1, 2)) == 1
-    assert level_of(FusingLetter(Family.MU, 1, 3)) == 2
-    assert level_of(FusingLetter(Family.GAMMA, 2, 3)) == 2
-    assert level_of(FusingLetter(Family.GAMMA, 1, 4)) == 3
+    assert FusingLetter(Family.MU, 1, 2).level == 1
+    assert FusingLetter(Family.MU, 1, 3).level == 2
+    assert FusingLetter(Family.GAMMA, 2, 3).level == 2
+    assert FusingLetter(Family.GAMMA, 1, 4).level == 3
 
 
 def test_normal_form_frozen_example():
@@ -42,7 +44,7 @@ def test_layers_run_high_to_low_and_letters_match_their_layer():
         for cl in layer.letters:
             assert cl.level == layer.level
             for c in cl.conjugator:
-                assert level_of(c) < cl.level
+                assert c.level < cl.level
 
 
 def test_recompose_round_trips_through_the_oracle():
@@ -149,6 +151,28 @@ def test_budget_bounds_the_rewriting():
     with pytest.raises(ResourceBoundError):
         normal_form(w, budget=1)
     normal_form(w, budget=100000)
+
+
+def test_traced_normal_form_rewrites_the_pure_part_into_its_normal_form():
+    rng = random.Random(5)
+    cases = [(3, rng.randint(0, 8)) for _ in range(25)]
+    cases += [(4, rng.randint(1, 5)) for _ in range(3)]
+    for n, length in cases:
+        text = " ".join(rng.choice("sStTv") + str(rng.randint(1, n - 1))
+                        for _ in range(length))
+        w = parse_braid_word(text, n)
+        store = get_store(n)
+        pure, _ = _sweep_raw(w)
+        chain = _traced_normal_form(pure, store)
+        assert chain.start == store.enc(pure.letters), text
+        assert validate_chain(chain, store.fus) == store.enc(
+            flatten(normal_form(w)).letters), text
+
+
+def test_traced_normal_form_keeps_the_budget():
+    w = parse_braid_word("s1 s2 s1 t2 S1 v2 s1 t1 S2", 3)
+    with pytest.raises(ResourceBoundError):
+        _traced_normal_form(_sweep_raw(w)[0], get_store(3), budget=1)
 
 
 def test_flatten_multiplies_layers_in_order():

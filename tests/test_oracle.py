@@ -3,9 +3,8 @@ import random
 import pytest
 
 from braidforge import (CertificateError, DomainError, Verdict, decide,
-                        format_braid_word, free_reduce, normal_form,
-                        parse_braid_word, parse_fusing_word, recompose,
-                        relation_neighbors, validate_chain, verify_relation)
+                        free_reduce, normal_form, parse_braid_word,
+                        parse_fusing_word, recompose, validate_chain)
 from braidforge.certs import CertStore
 from braidforge.chains import Chain, _rev_inv
 from braidforge.oracle import SMALL_SEARCH_NODES
@@ -125,6 +124,16 @@ def test_round_trip_missed_by_the_probe_answers_on_a_normal_form_rung():
     check_witness(res, back, word)
 
 
+def test_normal_forms_agree_when_a_trace_ends_unreduced():
+    # Both flattened normal forms end in a cancelling pair, so each
+    # trace ends two letters longer than the form the rung compares.
+    u = w("s2 v2 v1 s1 v2 v1 t1 v2")
+    v = w("v2 v1 t1 v2 v1 s1 s2 v2")
+    res = decide(u, v)
+    assert res.reason == "normal forms agree"
+    check_witness(res, u, v)
+
+
 def test_direct_search_reports_the_probe_bound():
     assert SMALL_SEARCH_NODES == 1_000
     res = decide(w("s1 s2 s1"), w("s2 s1 s2"))
@@ -168,31 +177,3 @@ def test_unequal_to_json_has_no_witness():
     assert data["status"] == "Unequal"
     assert data["witness"] is None
     assert data["witness_steps"] == 0
-
-
-def test_verify_relation_reports():
-    report = verify_relation(w("s1 s2 s1"), w("s2 s1 s2"))
-    assert report.holds
-    assert report.pi_equal
-    assert report.invariants_equal
-    data = report.to_json()
-    assert data["holds"] is True
-    assert data["verdict"]["status"] == "Equal"
-
-    bad = verify_relation(w("s1", 2), w("t1", 2))
-    assert not bad.holds
-    assert bad.pi_equal
-    assert not bad.invariants_equal
-
-
-def test_relation_neighbors_contains_the_braid_move():
-    out = relation_neighbors(w("s1 s2 s1"))
-    texts = {format_braid_word(word) for word in out}
-    assert "s2 s1 s2" in texts
-    assert all(word.strands == 3 for word in out)
-    assert "s1 s2 s1" not in texts
-
-
-def test_relation_neighbors_respects_the_length_cap():
-    for word in relation_neighbors(w("s1 s2 s1"), max_len=3):
-        assert len(word.codes) <= 3

@@ -1,7 +1,5 @@
-import pytest
-
-from braidforge import (Presentation, exponent_invariants, expand_fusing,
-                        pair_counts, permutation_of, relation_table)
+from braidforge import (exponent_invariants, expand_fusing, pair_counts,
+                        permutation_of)
 from braidforge.relations import (elementary_string_relation_instances,
                                   fusing_moves, pure_relation_instances,
                                   standard_relation_instances, standard_moves)
@@ -44,21 +42,14 @@ def test_pure_relation_sides_are_pure_and_balanced():
             assert pair_counts(rel.lhs) == pair_counts(rel.rhs), rel.name
 
 
-def test_relation_table_dispatch():
-    std = relation_table(Presentation.STANDARD, 3)
-    fus = relation_table(Presentation.FUSING, 3)
-    pure = relation_table(Presentation.PURE, 3)
+def test_instance_counts_at_three_strands():
+    std = standard_relation_instances(3)
+    string = elementary_string_relation_instances(3)
     assert len(std) == 24
-    assert len(fus) == 14
-    assert len(pure) == 24
-    for lhs, rhs in std + fus:
-        assert permutation_of(lhs) == permutation_of(rhs)
-
-
-def test_relation_table_accepts_enum_values_and_rejects_garbage():
-    assert relation_table("standard", 3) == relation_table(Presentation.STANDARD, 3)
-    with pytest.raises(ValueError):
-        relation_table("nonsense", 3)
+    assert len(string) == 14
+    assert len(pure_relation_instances(3)) == 24
+    for rel in std + string:
+        assert permutation_of(rel.lhs) == permutation_of(rel.rhs), rel.name
 
 
 def test_move_tables_are_orientation_closed():

@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from braidforge import (BraidSyntaxError, BraidWord, IndexRangeError, Kind,
                         concat_words, exponent_invariants, format_braid_word,
-                        free_reduce, invert_word, parse_braid_word,
-                        parse_word)
+                        free_reduce, invert_word, parse_braid_word)
 
 
 def test_parse_tokens():
@@ -18,10 +17,6 @@ def test_parse_empty_is_identity():
     w = parse_braid_word("", 4)
     assert len(w.codes) == 0
     assert format_braid_word(w) == ""
-
-
-def test_parse_word_alias():
-    assert parse_word("s1", 2) == parse_braid_word("s1", 2)
 
 
 def test_format_round_trip():
