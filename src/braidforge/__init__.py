@@ -12,9 +12,14 @@ The pipeline, where w is a word in the crossing generators:
     decide            certified equality of two words
 
 Every Equal verdict from decide carries a rewrite chain that replays
-against the defining relations alone; validate_chain checks one.
+against the defining relations alone; validate_chain checks one.  An
+Unequal verdict comes from an invariant, or from a twisted virtual
+Burau representation over GF(p) whose images of the two words differ;
+then it carries an UnequalCertificate that validate_unequal checks
+from the numbers in it and the relation table alone.
 """
 
+from .burau import UnequalCertificate, validate_unequal
 from .chains import Chain, Step, validate_chain
 from .decomposition import (ConjugatedLetter, Layer, LayeredNormalForm,
                             conjugate_letter, flatten, format_normal_form,
@@ -30,13 +35,11 @@ from .fusing import (Family, FusingLetter, FusingWord, PureDecomposition,
                      to_pure_times_coset)
 from .oracle import OracleVerdict, Verdict, decide
 from .perms import (Permutation, SchreierWord, coset_map,
-                    format_permutation, identity_permutation,
-                    parse_permutation, permutation_of,
+                    format_permutation, identity_permutation, permutation_of,
                     schreier_representative, schreier_system, transposition)
 from .relations import (ElementaryStringRelation, MoveTable,
                         PureRelationInstance, RelationInstance)
-from .schreier import (DerivedRelation, derive_pure_relations, rewrite_R,
-                       schreier_generator)
+from .schreier import DerivedRelation, derive_pure_relations, rewrite_R
 from .words import (BraidWord, ExponentInvariants, GeneratorLetter, Kind,
                     concat_words, exponent_invariants, format_braid_word,
                     free_reduce, invert_word, parse_braid_word)
@@ -51,7 +54,7 @@ __all__ = [
     "invert_word", "concat_words", "exponent_invariants",
     # permutations and cosets
     "Permutation", "SchreierWord", "permutation_of", "identity_permutation",
-    "transposition", "parse_permutation", "format_permutation",
+    "transposition", "format_permutation",
     "schreier_representative", "schreier_system", "coset_map",
     # fusing generators
     "Family", "FusingLetter", "FusingWord", "PureDecomposition",
@@ -62,7 +65,7 @@ __all__ = [
     "RelationInstance", "PureRelationInstance", "ElementaryStringRelation",
     "MoveTable",
     # subgroup rewriting
-    "DerivedRelation", "schreier_generator", "rewrite_R",
+    "DerivedRelation", "rewrite_R",
     "derive_pure_relations",
     # layered decomposition
     "ConjugatedLetter", "Layer", "LayeredNormalForm",
@@ -72,6 +75,7 @@ __all__ = [
     "Verdict", "OracleVerdict", "decide",
     # certificates
     "Chain", "Step", "validate_chain",
+    "UnequalCertificate", "validate_unequal",
     # errors
     "BraidforgeError", "DomainError", "BraidSyntaxError", "IndexRangeError",
     "NotPureError", "ResourceBoundError", "CertificateError",

@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .burau import image
 from .decomposition import normal_form, pair_counts, recompose
 from .fusing import Family, FusingLetter, act_permutation, expand_letter
 from .oracle import Verdict, decide
@@ -291,7 +292,8 @@ def round_trip_suite(samples: int = 1000, invariant_samples: int = 1000,
     """Rebuilding a word from its normal form must be oracle-Equal to
     the original (3 strands, short words; Unknown counts as failure),
     and must preserve the permutation, exponent, and pair-count
-    invariants on longer words up to 5 strands."""
+    invariants and the twisted Burau image on longer words up to 5
+    strands."""
     t0 = time.time()
     rng = random.Random(seed)
     failures = []
@@ -306,7 +308,7 @@ def round_trip_suite(samples: int = 1000, invariant_samples: int = 1000,
                 failures.append(
                     f"{format_braid_word(w)!r}: {res.verdict.value} "
                     f"({res.reason})")
-    bad_invariants = 0
+    bad_invariants = bad_images = 0
     for _ in range(invariant_samples):
         n = rng.randint(2, 5)
         w = _random_word(rng, n, 20)
@@ -317,10 +319,17 @@ def round_trip_suite(samples: int = 1000, invariant_samples: int = 1000,
             bad_invariants += 1
             if len(failures) < 10:
                 failures.append(f"invariants drift: {format_braid_word(w)!r}")
+        if image(back) != image(w):
+            bad_images += 1
+            if len(failures) < 10:
+                failures.append(
+                    f"representation images differ: {format_braid_word(w)!r}")
     return SuiteResult(
-        "normal form round trip", unknown == 0 and bad_invariants == 0,
+        "normal form round trip",
+        unknown == 0 and bad_invariants == 0 and bad_images == 0,
         f"{samples} oracle round trips ({unknown} not Equal), "
-        f"{invariant_samples} invariant checks ({bad_invariants} drifted), "
+        f"{invariant_samples} invariant checks ({bad_invariants} drifted, "
+        f"{bad_images} with different representation images), "
         f"seed {seed}",
         time.time() - t0, tuple(failures))
 

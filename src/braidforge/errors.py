@@ -52,7 +52,8 @@ class ResourceBoundError(BraidforgeError):
 
 
 class CertificateError(BraidforgeError):
-    """An internally produced rewrite chain failed validation.
+    """An internally produced certificate (a rewrite chain, or an
+    Unequal certificate from a representation) failed validation.
 
     This always indicates a bug in a prover, never bad user input.  It
     is raised eagerly, by certificate construction and by the equivalence

@@ -2,8 +2,11 @@
 
 decide(u, v) climbs from cheap invariants to progressively heavier
 machinery.  Unequal verdicts only ever come from genuine invariants
-(strand permutation, signed exponent sums, signed pair counts), never
-from a search running out; Equal verdicts always carry a closed rewrite
+(strand permutation, signed exponent sums, signed pair counts) or from
+a linear representation (the twisted virtual Burau images of the two
+words differ; the verdict carries an UnequalCertificate that
+burau.validate_unequal has checked before it is returned), never from
+a search running out.  Equal verdicts always carry a closed rewrite
 chain taking u * v^-1 to the empty word, validated move by move before
 it is returned.  When nothing decides within the given bounds the
 verdict is Unknown and says what was tried.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .burau import PARAMS, UnequalCertificate, image, validate_unequal
 from .certs import get_store
 from .chains import (Builder, Chain, _rev_inv, chain_end, chain_mirror,
                      erase_loops, reduction_steps, validate_chain)
@@ -67,11 +71,15 @@ def _word_text(codes: bytes, strands: int) -> str:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Outcome of decide: the verdict, why, and the witness if Equal.
+    """Outcome of decide: the verdict, why, the witness if Equal, and
+    the certificate if a representation separated the words.
 
     The witness is a chain from u * v^-1 to the empty word whose every
     step is a defining relation, a cancellation, or an insertion of a
-    cancelling pair; replaying it is independent verification.
+    cancelling pair; replaying it is independent verification.  The
+    certificate holds the representation's parameters and both images;
+    validate_unequal(certificate, u, v) rechecks it from the relation
+    table alone.
     """
 
     verdict: Verdict
@@ -79,6 +87,7 @@ class OracleVerdict:
     strands: int
     witness: Chain | None = None
     bounds: dict = field(default_factory=dict)
+    certificate: UnequalCertificate | None = None
 
     @property
     def equal(self) -> bool:
@@ -91,6 +100,8 @@ class OracleVerdict:
             "reason": self.reason,
             "strands": self.strands,
             "bounds": dict(self.bounds),
+            "certificate": (None if self.certificate is None
+                            else self.certificate.to_json()),
         }
         if self.witness is None:
             data["witness"] = None
@@ -139,7 +150,8 @@ def decide(u, v, *, max_len: int | None = None,
     inv = st.std.inverse_table
     finv = st.fus.inverse_table
 
-    # Invariants first: these are the only sources of Unequal.
+    # Invariants first: these and the representation below are the
+    # only sources of Unequal.
     if permutation_of(u) != permutation_of(v):
         return OracleVerdict(Verdict.UNEQUAL,
                              "strand permutations differ", n)
@@ -149,6 +161,13 @@ def decide(u, v, *, max_len: int | None = None,
     if pair_counts(u) != pair_counts(v):
         return OracleVerdict(Verdict.UNEQUAL,
                              "signed pair counts differ", n)
+    left, right = image(u), image(v)
+    if left != right:
+        cert = UnequalCertificate(PARAMS, left, right)
+        validate_unequal(cert, u, v)
+        return OracleVerdict(Verdict.UNEQUAL,
+                             "twisted Burau images differ", n,
+                             certificate=cert)
 
     ru = free_reduce(u)
     rv = free_reduce(v)

@@ -19,10 +19,9 @@ map produce.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 
-from .errors import BraidSyntaxError, DomainError, IndexRangeError
+from .errors import DomainError, IndexRangeError
 from .words import (BraidWord, GeneratorLetter, Kind, encode_letter,
                     word_from_letters)
 
@@ -31,8 +30,6 @@ __all__ = [
     "SchreierWord",
     "identity_permutation",
     "transposition",
-    "compose",
-    "parse_permutation",
     "format_permutation",
     "permutation_of",
     "schreier_system",
@@ -89,13 +86,6 @@ def transposition(n: int, i: int, j: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right composition: compose(p, q) applies p first, then q."""
-    if p.size != q.size:
-        raise DomainError("size mismatch in composition")
-    return Permutation(tuple(q(y) for y in p.images))
-
-
 def permutation_of(word: BraidWord) -> Permutation:
     """Image of a word under the strand-permutation homomorphism."""
     n = word.strands
@@ -109,39 +99,6 @@ def permutation_of(word: BraidWord) -> Permutation:
                 images[k] = i + 1
             elif y == i + 1:
                 images[k] = i
-    return Permutation(tuple(images))
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_permutation(text: str, n: int) -> Permutation:
-    """Parse disjoint-cycle notation: "(1 3)(2 4)", identity "()"."""
-    stripped = text.strip()
-    if not stripped:
-        raise BraidSyntaxError("empty permutation; the identity is written ()")
-    if _CYCLE_RE.sub("", stripped).strip():
-        raise BraidSyntaxError(f"bad permutation syntax: {text!r}")
-    images = list(range(1, n + 1))
-    seen: set[int] = set()
-    for body in _CYCLE_RE.findall(stripped):
-        entries = body.split()
-        if not entries:
-            continue  # "()" stands for the identity
-        try:
-            cycle = [int(e) for e in entries]
-        except ValueError:
-            raise BraidSyntaxError(f"bad cycle entries {body!r}") from None
-        if len(cycle) < 2:
-            raise BraidSyntaxError(f"cycle {body!r} needs at least 2 entries")
-        for x in cycle:
-            if not 1 <= x <= n:
-                raise IndexRangeError(f"cycle entry {x} out of range 1..{n}")
-            if x in seen:
-                raise BraidSyntaxError(f"entry {x} repeated across cycles")
-            seen.add(x)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a - 1] = b
     return Permutation(tuple(images))
 
 

@@ -21,17 +21,15 @@ import functools
 from dataclasses import dataclass
 
 from .errors import NotPureError
-from .fusing import (FusingWord, _sweep_raw, fusing_alphabet,
-                     fusing_free_reduce, to_pure_times_coset)
+from .fusing import (FusingWord, fusing_alphabet, fusing_free_reduce,
+                     to_pure_times_coset)
 from .perms import SchreierWord, permutation_of, schreier_system
 from .relations import core_presentation_instances
-from .words import (BraidWord, GeneratorLetter, Kind, concat_words,
-                    format_braid_word, invert_word, word_from_letters)
+from .words import BraidWord, concat_words, format_braid_word, invert_word
 
 __all__ = [
     "DerivedRelation",
     "rewrite_R",
-    "schreier_generator",
     "derive_pure_relations",
     "canonical_fusing_pair",
     "nontrivial_canonical_pairs",
@@ -51,23 +49,6 @@ def rewrite_R(word: BraidWord) -> FusingWord:
             f"word {format_braid_word(word)!r} moves the strands "
             f"({perm})", permutation=perm)
     return to_pure_times_coset(word).pure
-
-
-def schreier_generator(coset: SchreierWord, letter: GeneratorLetter
-                       ) -> FusingWord:
-    """Rewrite of the subgroup generator coset * letter * rep(...)^-1.
-
-    Virtual letters rewrite to the empty word (the product is again a
-    transversal word); crossings rewrite to the single fusing letter
-    whose strand pair is the letter's pair pushed through the coset
-    block.  Computed by running the sweep on coset * letter, so it
-    cannot drift from rewrite_R.
-    """
-    word = concat_words(
-        coset.braid_word,
-        word_from_letters(coset.strands, [letter]))
-    pure, _ = _sweep_raw(word)
-    return pure
 
 
 @dataclass(frozen=True)

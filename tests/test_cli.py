@@ -119,6 +119,19 @@ def test_decide_unequal_still_exits_zero(capsys):
     assert data["status"] == "Unequal"
 
 
+def test_decide_json_prints_the_unequal_certificate(capsys):
+    for flags in ([], ["--no-witness"]):
+        assert run(["decide", "-n", "3", "--json", *flags,
+                    "s1 s1 s2 s2", "s2 s2 s1 s1"]) == 0
+        data = json.loads(out_of(capsys)[0])
+        assert data["status"] == "Unequal"
+        assert data["reason"] == "twisted Burau images differ"
+        cert = data["certificate"]
+        assert cert["p"] == 1_000_003
+        assert len(cert["left"]) == len(cert["right"]) == 3
+        assert cert["left"] != cert["right"]
+
+
 def test_stdin_word_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("s1 v2 t1\n"))
     assert run(["pi", "-n", "3", "-"]) == 0

@@ -5,21 +5,12 @@ from hypothesis import given, strategies as st
 
 from braidforge import (DomainError, Permutation, format_permutation,
                         identity_permutation, parse_braid_word,
-                        parse_permutation, permutation_of, transposition)
-from braidforge.perms import compose
+                        permutation_of, transposition)
 
 
 def test_images_validated():
     with pytest.raises(DomainError):
         Permutation((1, 1, 3))
-
-
-def test_compose_is_left_to_right():
-    # apply (1 2) first, then (2 3): 1 -> 2 -> 3
-    p = transposition(3, 1, 2)
-    q = transposition(3, 2, 3)
-    assert compose(p, q)(1) == 3
-    assert compose(q, p)(1) == 2
 
 
 def test_permutation_of_reads_left_to_right():
@@ -51,13 +42,10 @@ def perms(n):
 
 @given(perms(5))
 def test_inverse_composes_to_identity(p):
-    assert compose(p, p.inverse()) == identity_permutation(5)
-    assert compose(p.inverse(), p) == identity_permutation(5)
-
-
-@given(perms(4))
-def test_format_parse_round_trip(p):
-    assert parse_permutation(format_permutation(p), 4) == p
+    inv = p.inverse()
+    for x in range(1, 6):
+        assert inv(p(x)) == x
+        assert p(inv(x)) == x
 
 
 def token(n):
@@ -75,8 +63,10 @@ def words(n, max_size=10):
 def test_permutation_of_is_multiplicative(u, v):
     from braidforge import concat_words
 
-    assert permutation_of(concat_words(u, v)) == compose(
-        permutation_of(u), permutation_of(v))
+    pu, pv, puv = (permutation_of(u), permutation_of(v),
+                   permutation_of(concat_words(u, v)))
+    for x in range(1, 5):
+        assert puv(x) == pv(pu(x))
 
 
 def test_format_permutation_cycles():

@@ -3,12 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from braidforge import (NotPureError, Verdict, coset_map, decide,
                         expand_fusing, format_braid_word, format_fusing_word,
-                        identity_permutation, parse_braid_word,
-                        parse_permutation, permutation_of, rewrite_R,
-                        schreier_generator, schreier_representative,
-                        schreier_system, to_pure_times_coset)
+                        parse_braid_word, permutation_of, rewrite_R,
+                        schreier_representative, schreier_system,
+                        to_pure_times_coset, transposition)
 from braidforge.schreier import derive_pure_relations, nontrivial_canonical_pairs
-from braidforge.words import GeneratorLetter, Kind
+from braidforge.words import Kind
 
 
 def test_transversal_sizes():
@@ -47,35 +46,31 @@ def test_coset_map_examples():
         coset_map(parse_braid_word("v2 v1", 3)).braid_word) == "v2 v1"
 
 
-def test_schreier_generator_examples():
-    lam = schreier_representative(parse_permutation("(1 2)", 3), 3)
-    g = schreier_generator(lam, GeneratorLetter(Kind.SIGMA, 1))
-    assert format_fusing_word(g) == "m[2,1]"
-    e = schreier_representative(identity_permutation(3), 3)
-    assert format_fusing_word(
-        schreier_generator(e, GeneratorLetter(Kind.TAU, 2))) == "g[2,3]"
-
-
 def test_schreier_generator_expansion_is_the_defining_word():
     """The generator for (representative, letter) is rep * letter * rep'
-    with rep' the representative of the combined coset; its expansion
-    must be that exact group element."""
+    with rep' the representative of the combined coset: the sweep of
+    rep * letter has that single letter as its pure part, and its
+    expansion must be that exact group element."""
     from braidforge import concat_words, invert_word
 
     for n in (2, 3):
         for coset in schreier_system(n):
-            for kind in (Kind.SIGMA, Kind.TAU):
+            for kind in "st":
                 for i in range(1, n):
-                    letter = GeneratorLetter(kind, i)
-                    gen = schreier_generator(coset, letter)
                     lam = coset.braid_word
-                    letter_word = parse_braid_word(
-                        f"{'s' if kind is Kind.SIGMA else 't'}{i}", n)
-                    full = concat_words(lam, letter_word)
+                    full = concat_words(lam, parse_braid_word(f"{kind}{i}", n))
+                    gen = to_pure_times_coset(full).pure
+                    assert len(gen.letters) == 1
                     tail = coset_map(full).braid_word
                     target = concat_words(full, invert_word(tail))
                     res = decide(expand_fusing(gen), target)
                     assert res.verdict is Verdict.EQUAL
+
+    lam = schreier_representative(transposition(3, 1, 2), 3).braid_word
+    assert format_fusing_word(to_pure_times_coset(
+        concat_words(lam, parse_braid_word("s1", 3))).pure) == "m[2,1]"
+    assert format_fusing_word(to_pure_times_coset(
+        parse_braid_word("t2", 3)).pure) == "g[2,3]"
 
 
 def test_rewrite_R_frozen_examples():
